@@ -31,20 +31,17 @@ func BenchmarkSerialAStarSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkExpandSteadyState measures one Expand call in the
-// duplicate-saturated steady state: every child the expander generates is
-// already in the visited table, is rejected, and its arena slot is
-// recycled. A 0 allocs/op result proves the expansion hot path — child
-// construction, isomorphism/equivalence filtering, duplicate detection —
-// performs no heap allocation at all.
-func BenchmarkExpandSteadyState(b *testing.B) {
+// steadyState builds the duplicate-saturated expansion workload of the
+// steady-state benchmarks: an expander under opt and a pool of states
+// whose children are all already in the returned visited table.
+func steadyState(tb testing.TB, opt Options) (*Expander, *Visited, []*State) {
+	tb.Helper()
 	g := gen.MustRandom(gen.RandomConfig{V: 24, CCR: 1.0, Seed: 7})
 	m, err := NewModel(g, procgraph.Complete(4))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	var stats Stats
-	exp := m.NewExpander(Options{}, &stats)
+	exp := m.NewExpander(opt, &Stats{})
 	visited := NewVisited()
 	var pool []*State
 	collect := func(c *State) { pool = append(pool, c) }
@@ -53,13 +50,45 @@ func BenchmarkExpandSteadyState(b *testing.B) {
 		exp.Expand(pool[i], visited, collect)
 	}
 	if len(pool) == 0 {
-		b.Fatal("no states to expand")
+		tb.Fatal("no states to expand")
 	}
+	return exp, visited, pool
+}
+
+// BenchmarkExpandSteadyState measures one Expand call in the
+// duplicate-saturated steady state: every child the expander generates is
+// already in the visited table, is rejected, and its arena slot is
+// recycled. A 0 allocs/op result proves the expansion hot path — child
+// construction, isomorphism/equivalence filtering, duplicate detection —
+// performs no heap allocation at all.
+func BenchmarkExpandSteadyState(b *testing.B) {
+	exp, visited, pool := steadyState(b, Options{})
 	discard := func(*State) {}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		exp.Expand(pool[i%len(pool)], visited, discard)
+	}
+}
+
+// TestExpandSteadyStateZeroAlloc is the tier-1 form of
+// BenchmarkExpandSteadyState: the duplicate-saturated Expand — every child
+// verified against its stored twin by sameAssignment and rejected — must
+// not allocate.
+func TestExpandSteadyStateZeroAlloc(t *testing.T) {
+	exp, visited, pool := steadyState(t, Options{})
+	discard := func(*State) {}
+	dupsBefore := exp.Stats.Duplicates
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		exp.Expand(pool[i%len(pool)], visited, discard)
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("duplicate-saturated Expand: %.1f allocs/op, want 0", allocs)
+	}
+	if exp.Stats.Duplicates == dupsBefore {
+		t.Fatal("no child reached duplicate verification")
 	}
 }
 
@@ -101,24 +130,8 @@ func (t *atomicTracer) Gauges() (int32, int32, int64) {
 // from another goroutine. It must still report 0 allocs/op — telemetry's
 // whole design is that the hot path only ever touches atomics.
 func BenchmarkExpandSteadyStateTelemetry(b *testing.B) {
-	g := gen.MustRandom(gen.RandomConfig{V: 24, CCR: 1.0, Seed: 7})
-	m, err := NewModel(g, procgraph.Complete(4))
-	if err != nil {
-		b.Fatal(err)
-	}
 	tracer := &atomicTracer{}
-	var stats Stats
-	exp := m.NewExpander(Options{Tracer: tracer}, &stats)
-	visited := NewVisited()
-	var pool []*State
-	collect := func(c *State) { pool = append(pool, c) }
-	exp.Expand(Root(), visited, collect)
-	for i := 0; i < len(pool) && len(pool) < 256; i++ {
-		exp.Expand(pool[i], visited, collect)
-	}
-	if len(pool) == 0 {
-		b.Fatal("no states to expand")
-	}
+	exp, visited, pool := steadyState(b, Options{Tracer: tracer})
 	stop := obs.StartSampler(context.Background(), tracer, obs.DefaultSampleInterval, obs.NewRing(0))
 	defer stop()
 	discard := func(*State) {}

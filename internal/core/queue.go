@@ -22,37 +22,101 @@ type Queue interface {
 }
 
 // BestFirstQueue is the exact A* OPEN list: Pop returns the minimum-f state
-// (ties prefer deeper states).
+// (ties prefer deeper states; see Less). It is a 4-ary min-heap whose
+// entries carry each state's ordering key inline, so sifting compares keys
+// in the heap's own slab and never dereferences a state; the shallow 4-ary
+// tree halves the levels a sift crosses, and sifts move a hole instead of
+// swapping.
 type BestFirstQueue struct {
-	h *heapx.Heap[*State]
+	items []openEntry
+}
+
+// openEntry is one OPEN slot: the state's ordering key and the state.
+type openEntry struct {
+	key openKey
+	s   *State
 }
 
 // NewBestFirstQueue returns an empty best-first queue.
 func NewBestFirstQueue() *BestFirstQueue {
-	return &BestFirstQueue{h: heapx.NewWithCapacity(Less, 1024)}
+	return &BestFirstQueue{items: make([]openEntry, 0, 1024)}
 }
 
 // Push inserts a state.
-func (q *BestFirstQueue) Push(s *State) { q.h.Push(s) }
+//
+//icpp98:hotpath
+func (q *BestFirstQueue) Push(s *State) {
+	e := openEntry{key: s.key(), s: s}
+	q.items = append(q.items, e) //icpp98:allow hotpath OPEN growth; amortized O(1) per push
+	items := q.items
+	i := len(items) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !e.key.before(&items[p].key) {
+			break
+		}
+		items[i] = items[p]
+		i = p
+	}
+	items[i] = e
+}
 
 // Pop removes and returns the minimum-f state, or nil when empty.
+//
+//icpp98:hotpath
 func (q *BestFirstQueue) Pop() *State {
-	if q.h.Len() == 0 {
+	n := len(q.items) - 1
+	if n < 0 {
 		return nil
 	}
-	return q.h.Pop()
+	top := q.items[0].s
+	last := q.items[n]
+	q.items[n] = openEntry{} // release the state for GC
+	q.items = q.items[:n]
+	if n > 0 {
+		q.siftDown(last)
+	}
+	return top
+}
+
+// siftDown places e, which replaces the root, by moving the hole at the
+// root down past every smaller child.
+//
+//icpp98:hotpath
+func (q *BestFirstQueue) siftDown(e openEntry) {
+	items := q.items
+	n := len(items)
+	i := 0
+	for {
+		first := 4*i + 1
+		if first >= n {
+			break
+		}
+		best := first
+		for c := first + 1; c < first+4 && c < n; c++ {
+			if items[c].key.before(&items[best].key) {
+				best = c
+			}
+		}
+		if !items[best].key.before(&e.key) {
+			break
+		}
+		items[i] = items[best]
+		i = best
+	}
+	items[i] = e
 }
 
 // MinF returns the minimum f over queued states.
 func (q *BestFirstQueue) MinF() (int32, bool) {
-	if q.h.Len() == 0 {
+	if len(q.items) == 0 {
 		return 0, false
 	}
-	return q.h.Peek().f, true
+	return q.items[0].key.f, true
 }
 
 // Len returns the number of queued states.
-func (q *BestFirstQueue) Len() int { return q.h.Len() }
+func (q *BestFirstQueue) Len() int { return len(q.items) }
 
 // FocalQueue is the Aε* OPEN list of §3.4. FOCAL holds the states with
 // f(s') <= (1+ε)·min f(OPEN); Pop returns the FOCAL state preferred by the

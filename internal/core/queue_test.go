@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -29,25 +30,43 @@ func TestBestFirstQueueOrdering(t *testing.T) {
 	}
 }
 
-// TestBestFirstQueueMinF asserts MinF always equals the f of the next Pop.
+// TestBestFirstQueueMinF asserts the best-first heap pops exactly the
+// sequence Less defines, under heavy f/depth/g ties and pushes interleaved
+// with pops, and that MinF always equals the f of the next Pop.
 func TestBestFirstQueueMinF(t *testing.T) {
 	q := NewBestFirstQueue()
 	if _, ok := q.MinF(); ok {
 		t.Fatal("MinF on empty queue reported ok")
 	}
 	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 500; i++ {
-		if rng.Intn(3) > 0 || q.Len() == 0 {
-			q.Push(&State{f: int32(rng.Intn(1000)), sig: uint64(i)})
+	var ref []*State // the queued states, popped in sort.Slice order
+	pop := func() {
+		sort.Slice(ref, func(i, j int) bool { return Less(ref[i], ref[j]) })
+		fmin, ok := q.MinF()
+		if !ok || fmin != ref[0].f {
+			t.Fatalf("MinF = %d,%v; next pop has f %d", fmin, ok, ref[0].f)
+		}
+		if s := q.Pop(); s != ref[0] {
+			t.Fatalf("popped %+v; Less orders %+v first", s, ref[0])
+		}
+		ref = ref[1:]
+	}
+	for i := 0; i < 5000; i++ {
+		// Push twice as often as pop, with a burst of pops every 1000 steps,
+		// so the heap both grows several 4-ary levels deep and drains.
+		if rng.Intn(3) > 0 && i%1000 < 900 || len(ref) == 0 {
+			s := &State{f: int32(rng.Intn(4)), depth: int32(rng.Intn(3)), g: int32(rng.Intn(3)), sig: rng.Uint64()}
+			q.Push(s)
+			ref = append(ref, s)
 			continue
 		}
-		fmin, ok := q.MinF()
-		if !ok {
-			t.Fatal("MinF not ok on non-empty queue")
-		}
-		if s := q.Pop(); s.f != fmin {
-			t.Fatalf("MinF %d but popped f %d", fmin, s.f)
-		}
+		pop()
+	}
+	for len(ref) > 0 {
+		pop()
+	}
+	if q.Pop() != nil || q.Len() != 0 {
+		t.Fatal("drained queue still pops")
 	}
 }
 

@@ -380,27 +380,108 @@ func TestCompleteStateInvariants(t *testing.T) {
 	}
 }
 
-// TestVisitedExactness: two different placements with a (contrived) hash
-// collision must not merge. We simulate by checking Add on genuinely
-// distinct states always succeeds.
+// TestVisitedExactness forces 64-bit signature collisions on both visited
+// tables: states that share a signature but differ in their scheduled set,
+// or in the (proc, start) of one node, must both be stored and the
+// collision counted, while the same partial schedule reached in another
+// order must be rejected as a duplicate. The slots keep only the signature
+// inline, so this is the guard on the dereference-and-verify path.
 func TestVisitedExactness(t *testing.T) {
-	g := gen.PaperExample()
-	m, err := NewModel(g, procgraph.Ring(3))
-	if err != nil {
-		t.Fatal(err)
+	const sig = 0xC011_1DE5
+	// chain builds a state by applying (node, proc, start) deltas to the
+	// root; every state gets the same signature and g.
+	chain := func(deltas ...[3]int32) *State {
+		s := Root()
+		for _, d := range deltas {
+			c := &State{parent: s, mask: s.mask, node: d[0], proc: d[1], start: d[2], depth: s.depth + 1}
+			c.mask.Set(d[0])
+			s = c
+		}
+		s.sig, s.g = sig, 40
+		return s
 	}
-	var stats Stats
-	exp := m.NewExpander(Options{Disable: DisableAllPruning}, &stats)
-	vt := NewVisited()
-	var states []*State
-	exp.Expand(Root(), vt, func(s *State) { states = append(states, s) })
-	for _, s := range states {
-		// Re-adding the same state must be rejected.
-		if vt.Add(s) {
-			t.Error("visited accepted a duplicate")
+	base := chain([3]int32{0, 0, 0}, [3]int32{1, 1, 10}, [3]int32{2, 0, 20})
+	cases := []struct {
+		name  string
+		other *State
+		dup   bool
+	}{
+		{"different mask", chain([3]int32{0, 0, 0}, [3]int32{1, 1, 10}, [3]int32{3, 0, 20}), false},
+		{"different proc", chain([3]int32{1, 1, 10}, [3]int32{0, 2, 0}, [3]int32{2, 0, 20}), false},
+		{"different start", chain([3]int32{2, 0, 20}, [3]int32{1, 1, 12}, [3]int32{0, 0, 0}), false},
+		{"same schedule, other order", chain([3]int32{2, 0, 20}, [3]int32{0, 0, 0}, [3]int32{1, 1, 10}), true},
+	}
+	type table struct {
+		add              func(*State) bool
+		len              func() int
+		hits, collisions func() int64
+	}
+	tables := map[string]func() table{
+		"Visited": func() table {
+			vt := NewVisited()
+			return table{vt.Add, vt.Len, func() int64 { return vt.Hits }, func() int64 { return vt.Collisions }}
+		},
+		"SharedVisited": func() table {
+			vt := NewSharedVisited(4)
+			return table{vt.Add, vt.Len, vt.Hits, vt.Collisions}
+		},
+	}
+	for name, newTable := range tables {
+		for _, c := range cases {
+			vt := newTable()
+			if !vt.add(base) {
+				t.Fatalf("%s: first insertion rejected", name)
+			}
+			wantLen, wantHits, wantCollisions := 2, int64(0), int64(1)
+			if c.dup {
+				wantLen, wantHits, wantCollisions = 1, 1, 0
+			}
+			if inserted := vt.add(c.other); inserted == c.dup {
+				t.Errorf("%s, %s: Add = %v, want %v", name, c.name, inserted, !c.dup)
+			}
+			if vt.len() != wantLen || vt.hits() != wantHits || vt.collisions() != wantCollisions {
+				t.Errorf("%s, %s: Len %d Hits %d Collisions %d, want %d %d %d", name, c.name,
+					vt.len(), vt.hits(), vt.collisions(), wantLen, wantHits, wantCollisions)
+			}
 		}
 	}
-	if vt.Len() != len(states) {
-		t.Errorf("visited length %d != %d", vt.Len(), len(states))
+}
+
+// TestSerialEffortCountersPinned pins the serial A* effort counters on a few
+// small instances. The search is deterministic, so any change to the OPEN
+// ordering or to duplicate detection that silently reorders it shows up
+// here as a counter drift, even when the optimum stays the same.
+func TestSerialEffortCountersPinned(t *testing.T) {
+	type effort struct {
+		Expanded, Generated, Duplicates int64
+		MaxOpen, VisitedSize            int
+		Length                          int32
+	}
+	cases := []struct {
+		v    int
+		ccr  float64
+		seed uint64
+		sys  *procgraph.System
+		want effort
+	}{
+		{10, 1, 1, procgraph.Ring(3), effort{705, 1057, 310, 61, 747, 352}},
+		{12, 10, 3, procgraph.Ring(3), effort{2365, 8121, 1210, 4547, 6911, 432}},
+		{12, 1, 4, procgraph.Mesh(2, 2), effort{1318, 3017, 782, 919, 2235, 325}},
+		{14, 0.1, 6, procgraph.Ring(3), effort{1019, 1510, 400, 322, 1110, 292}},
+		{13, 10, 17, procgraph.Ring(3), effort{12913, 19964, 837, 9042, 19127, 409}},
+		{12, 10, 16, procgraph.Mesh(2, 2), effort{58653, 105376, 32136, 21053, 73240, 574}},
+	}
+	for _, c := range cases {
+		g := gen.MustRandom(gen.RandomConfig{V: c.v, CCR: c.ccr, MeanOutDeg: 3, Seed: c.seed})
+		r, err := Solve(g, c.sys, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := r.Stats
+		got := effort{s.Expanded, s.Generated, s.Duplicates, s.MaxOpen, s.VisitedSize, r.Length}
+		if got != c.want || !r.Optimal {
+			t.Errorf("v=%d ccr=%g seed=%d %s: got %+v optimal=%v, want %+v optimal=true",
+				c.v, c.ccr, c.seed, c.sys.Name(), got, r.Optimal, c.want)
+		}
 	}
 }

@@ -75,13 +75,27 @@ func (s *State) Complete(m *Model) bool { return int(s.depth) == m.V }
 // shared freely.
 func Root() *State { return &State{node: -1, proc: -1} }
 
-// Less is the OPEN-list ordering of the exact A* search: smaller f first;
-// ties prefer larger g (deeper, more complete partial schedules — the
+// openKey is the part of a state the exact A* OPEN ordering reads. The
+// best-first queue stores it inline next to the state pointer, so heap
+// comparisons never touch state memory; Less compares the same key, so the
+// two orderings cannot drift apart.
+type openKey struct {
+	f, depth, g int32
+	sig         uint64
+}
+
+// key returns s's OPEN ordering key.
+//
+//icpp98:hotpath
+func (s *State) key() openKey { return openKey{f: s.f, depth: s.depth, g: s.g, sig: s.sig} }
+
+// before is the OPEN ordering on keys: smaller f first; ties prefer the
+// deeper state, then larger g (more complete partial schedules — the
 // standard A* tie-break that reaches goals sooner), then the signature for
 // determinism.
 //
 //icpp98:hotpath
-func Less(a, b *State) bool {
+func (a *openKey) before(b *openKey) bool {
 	if a.f != b.f {
 		return a.f < b.f
 	}
@@ -92,6 +106,16 @@ func Less(a, b *State) bool {
 		return a.g > b.g
 	}
 	return a.sig < b.sig
+}
+
+// Less is the OPEN-list ordering of the exact A* search: smaller f first;
+// ties prefer deeper states, then larger g, then the signature for
+// determinism.
+//
+//icpp98:hotpath
+func Less(a, b *State) bool {
+	ka, kb := a.key(), b.key()
+	return ka.before(&kb)
 }
 
 // FocalLess is the FOCAL-list ordering of the Aε* search (§3.4): the
@@ -127,30 +151,37 @@ func sigMix(node, proc, start int32) uint64 {
 	return x
 }
 
-// sameAssignment reports whether two states with equal signatures and masks
-// really denote the same partial schedule, by exact comparison of their
-// (node, proc, start) sets. Quadratic in depth, but only runs on 64-bit
-// hash agreement.
+// sameAssignment reports whether two states with equal signatures really
+// denote the same partial schedule: equal scheduled sets, g and depth, and
+// the same (proc, start) for every scheduled node. It walks both chains in
+// step — equal depths keep the two walks at equal depths, so they meet at
+// their deepest common ancestor, below which the schedules are shared —
+// recording a's placements per node in a scratch array, then checks b's
+// walked deltas against it: linear in depth. Equal masks mean b's walked
+// nodes are exactly a's, so every slot read was written by this call.
 //
 //icpp98:hotpath
 func sameAssignment(a, b *State) bool {
 	if a.mask != b.mask || a.depth != b.depth || a.g != b.g {
 		return false
 	}
-	for sa := a; sa != nil && sa.node >= 0; sa = sa.parent {
-		found := false
-		for sb := b; sb != nil && sb.node >= 0; sb = sb.parent {
-			if sb.node == sa.node {
-				found = sb.proc == sa.proc && sb.start == sa.start
-				break
-			}
-		}
-		if !found {
+	var placed [MaxNodes]uint64
+	sa, sb := a, b
+	for ; sa != sb && sa.node >= 0; sa, sb = sa.parent, sb.parent {
+		placed[sa.node] = placement(sa)
+	}
+	for s := b; s != sb; s = s.parent {
+		if placed[s.node] != placement(s) {
 			return false
 		}
 	}
 	return true
 }
+
+// placement packs a delta's (proc, start) into one comparable word.
+//
+//icpp98:hotpath
+func placement(s *State) uint64 { return uint64(uint32(s.proc))<<32 | uint64(uint32(s.start)) }
 
 // ScheduleOf materializes the complete schedule a goal state represents.
 func (m *Model) ScheduleOf(s *State) *schedule.Schedule {
@@ -162,14 +193,13 @@ func (m *Model) ScheduleOf(s *State) *schedule.Schedule {
 }
 
 // Visited is the duplicate-state table (the OPEN ∪ CLOSED membership test of
-// §3.1). It is an open-addressed hash table whose entries carry the
-// identity-defining fields — signature, scheduled-set mask words, g, depth —
-// inline, per the duplicate-free-state-space literature (Orr & Sinnen): a
-// probe almost always resolves on the inline words alone, without touching
-// the candidate state's memory, and the parent chain is only chased for the
-// exact verification of a full inline match. Compared with the previous
-// map[uint64][]*State, the table stores no per-signature bucket slices and
-// its memory is a single flat slab that grows by doubling.
+// §3.1). It is an open-addressed hash table of 16-byte (signature, state)
+// slots: four slots share a cache line, so a probe sequence usually stays on
+// one line, and growing the table moves and zeroes little memory. A
+// signature match is almost always a true duplicate, so only then is the
+// stored state dereferenced, for the exact identity check (mask, g, depth,
+// then the linear sameAssignment). The table is a single flat slab that
+// grows by doubling.
 type Visited struct {
 	entries    []visEntry // power-of-two sized, linear probing
 	n          int        // occupied entries
@@ -177,14 +207,11 @@ type Visited struct {
 	Collisions int64      // 64-bit hash collisions that exact comparison caught
 }
 
-// visEntry is one slot: the inline identity words plus the state pointer
-// (nil marks an empty slot) chased only on a full inline match.
+// visEntry is one slot: the state's signature and the state itself (nil
+// marks an empty slot).
 type visEntry struct {
-	st    *State
-	sig   uint64
-	mask  Mask
-	g     int32
-	depth int32
+	sig uint64
+	st  *State
 }
 
 // visitedMinSize is the initial table capacity (a power of two).
@@ -201,8 +228,8 @@ func NewVisited() *Visited {
 // unless an identical partial schedule is already stored, and reports
 // whether s was inserted plus how many 64-bit hash collisions the exact
 // comparison caught along the way. Keeping the identity comparison (sig,
-// mask, g, depth, then sameAssignment) in one place guarantees the serial
-// and concurrent engines can never disagree on what "duplicate" means.
+// then sameAssignment) in one place guarantees the serial and concurrent
+// engines can never disagree on what "duplicate" means.
 //
 //icpp98:hotpath
 func visInsert(entries []visEntry, s *State) (inserted bool, collisions int64) {
@@ -210,11 +237,11 @@ func visInsert(entries []visEntry, s *State) (inserted bool, collisions int64) {
 	for {
 		e := &entries[idx]
 		if e.st == nil {
-			*e = visEntry{st: s, sig: s.sig, mask: s.mask, g: s.g, depth: s.depth}
+			*e = visEntry{sig: s.sig, st: s}
 			return true, collisions
 		}
 		if e.sig == s.sig {
-			if e.mask == s.mask && e.g == s.g && e.depth == s.depth && sameAssignment(s, e.st) {
+			if sameAssignment(s, e.st) {
 				return false, collisions
 			}
 			collisions++
