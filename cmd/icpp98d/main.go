@@ -9,10 +9,11 @@
 // into a snapshot): a restarted daemon recovers its retained jobs —
 // finished results stay fetchable, and with -cluster, jobs that were
 // leased to a worker mid-flight are resumed: the lease journal rides the
-// same WAL, and a worker that long-polls back within -adopt-grace presents
-// its lease token and keeps solving (leases nobody reclaims are re-queued
-// without charging the job's retry budget). Mid-flight jobs without a
-// live lease read failed with an "interrupted" error, as before.
+// same WAL, and the first report carrying a recovered lease's token
+// adopts it, so the worker keeps solving (a lease no report claims within
+// -lease-ttl of the restart is re-queued without charging the job's retry
+// budget). Mid-flight jobs without a live lease read failed with an
+// "interrupted" error, as before.
 // Identical submissions are answered from a
 // content-addressed schedule cache (-cache-bytes budgets it; submit with
 // "cache":"bypass" to force a fresh solve). /metrics serves Prometheus
@@ -89,7 +90,6 @@ func main() {
 	leaseTTL := flag.Duration("lease-ttl", 15*time.Second, "with -cluster: re-queue a leased job unreported for this long")
 	workerTimeout := flag.Duration("worker-timeout", 10*time.Second, "with -cluster: deregister a worker silent for this long")
 	jobAttempts := flag.Int("job-attempts", 3, "with -cluster: attempts a job may lose to worker death/expiry before it fails")
-	adoptGrace := flag.Duration("adopt-grace", 0, "with -cluster and -store-dir: how long after a restart workers may reclaim recovered leases (0 = 2×lease-ttl)")
 	backlog := flag.Int("backlog-per-slot", 0, "503 submissions once active jobs reach this × aggregate capacity (0 = store-bound only)")
 	storeDir := flag.String("store-dir", "", "persist jobs under this directory (WAL + snapshot); restart recovers them. Empty = in-memory")
 	cacheBytes := flag.Int64("cache-bytes", 0, "schedule-cache byte budget (0 = 64 MiB, negative = disable)")
@@ -121,15 +121,14 @@ func main() {
 			LeaseTTL:      *leaseTTL,
 			WorkerTimeout: *workerTimeout,
 			MaxAttempts:   *jobAttempts,
-			AdoptGrace:    *adoptGrace,
 			Logger:        logger,
 			Leases:        srv.LeaseStore(),
 		})
 		srv.EnableCluster(coord)
 	}
-	// Re-offer recovered mid-flight jobs before the listener opens: the
-	// coordinator parks their journaled leases for adoption, so a worker
-	// whose first request races the resume still finds its lease waiting.
+	// Re-offer recovered mid-flight jobs before the listener opens; a
+	// worker report that still races a job's re-dispatch gets a retryable
+	// 503 (lease_recovering), never a 410.
 	if resumed := srv.ResumeRecovered(); resumed > 0 {
 		logger.Info("resumed recovered jobs", "jobs", resumed)
 	}

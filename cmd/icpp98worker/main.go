@@ -12,9 +12,11 @@
 // back to the coordinator for re-leasing before the process exits.
 //
 // A coordinator restart is survivable: the worker keeps solving through
-// the outage, re-registers when the daemon answers again, and presents
-// its held lease tokens — a durable-store (-store-dir) coordinator adopts
-// them within its -adopt-grace window and the solves conclude normally.
+// the outage and re-registers when the daemon answers again. Every report
+// carries its lease's token, which is what authenticates it, so a
+// durable-store (-store-dir) coordinator adopts each in-flight lease on
+// the first report under the worker's fresh ID, and the solves conclude
+// normally.
 // Worker and coordinator must speak the same cluster protocol version; a
 // mismatch is refused at registration with a protocol_mismatch error.
 package main

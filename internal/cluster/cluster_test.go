@@ -24,6 +24,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/obs"
+	"repro/internal/procgraph"
 	"repro/internal/server"
 	"repro/internal/stg"
 )
@@ -122,6 +123,9 @@ func newCluster(t *testing.T, scfg server.Config, ccfg Config) (*Coordinator, st
 // registered (the coordinator's capacity includes it).
 func startWorker(t *testing.T, coord *Coordinator, url, name string, slots int) *Worker {
 	t.Helper()
+	// Read before the worker starts: a registration that lands first must
+	// not be counted into the baseline.
+	before := coord.Capacity()
 	w := NewWorker(WorkerConfig{Coordinator: url, Name: name, Slots: slots, Logf: t.Logf})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
@@ -134,7 +138,6 @@ func startWorker(t *testing.T, coord *Coordinator, url, name string, slots int) 
 		cancel()
 		<-done
 	})
-	before := coord.Capacity()
 	waitFor(t, "worker "+name+" to register", func() bool { return coord.Capacity() >= before+slots })
 	return w
 }
@@ -246,10 +249,16 @@ func TestClusterMatchesLocalByteForByte(t *testing.T) {
 		{Graph: graph, System: json.RawMessage(`"complete:3"`), Engine: "dfbb"},
 		{Graph: graph, System: json.RawMessage(`"chain:2"`), Engine: "ida"},
 	}
+	// Each cluster job is submitted once the previous one has finished:
+	// placement hands a job to the daemon's idle local slot whenever every
+	// remote slot is busy (DESIGN.md §9), and this test needs every job
+	// solved remotely.
 	var clusterIDs, localIDs []string
 	for _, req := range reqs {
-		clusterIDs = append(clusterIDs, postJob(t, clusterURL, req))
 		localIDs = append(localIDs, postJob(t, localTS.URL, req))
+		id := postJob(t, clusterURL, req)
+		waitTerminal(t, clusterURL, id)
+		clusterIDs = append(clusterIDs, id)
 	}
 	for i := range reqs {
 		cst := waitTerminal(t, clusterURL, clusterIDs[i])
@@ -607,7 +616,7 @@ func TestWorkerEndpoints(t *testing.T) {
 		t.Fatalf("unknown-worker lease: got %d, want 404", resp.StatusCode)
 	}
 
-	// Report: unknown worker 404; a lease this worker does not hold 410.
+	// Report: unknown worker 404; a token matching no outstanding lease 410.
 	if resp, _ := post("/v1/workers/jobs/job-1/report", ReportRequest{ProtocolVersion: ProtocolVersion, WorkerID: "worker-999"}); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown-worker report: got %d, want 404", resp.StatusCode)
 	}
@@ -625,6 +634,134 @@ func TestWorkerEndpoints(t *testing.T) {
 	}
 	if list.Workers[0].Name != "probe" || len(list.Workers[0].Engines) == 0 {
 		t.Fatalf("workers row = %+v", list.Workers[0])
+	}
+}
+
+// postWire POSTs one JSON body to a cluster protocol endpoint and returns
+// the status with the error envelope's code ("" on success).
+func postWire(t *testing.T, url string, body any) (int, string) {
+	t.Helper()
+	buf, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var envelope server.ErrorResponse
+	if resp.StatusCode/100 != 2 {
+		json.NewDecoder(resp.Body).Decode(&envelope)
+	}
+	return resp.StatusCode, envelope.Code
+}
+
+// registerProbe registers a bare protocol-level worker and returns its ID.
+func registerProbe(t *testing.T, base string) string {
+	t.Helper()
+	body, _ := json.Marshal(RegisterRequest{ProtocolVersion: ProtocolVersion, Name: "probe"})
+	resp, err := http.Post(base+"/v1/workers/register", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var reg RegisterResponse
+	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&reg) != nil {
+		t.Fatalf("register: got %d", resp.StatusCode)
+	}
+	return reg.WorkerID
+}
+
+// leaseProbe long-polls one lease for a probe worker.
+func leaseProbe(t *testing.T, base, workerID string) *LeasedJob {
+	t.Helper()
+	body, _ := json.Marshal(LeaseRequest{ProtocolVersion: ProtocolVersion, WorkerID: workerID, WaitMS: 5000})
+	resp, err := http.Post(base+"/v1/workers/lease", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var lease LeaseResponse
+	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&lease) != nil || lease.Job == nil {
+		t.Fatalf("lease for %s: got %d, job %v", workerID, resp.StatusCode, lease.Job)
+	}
+	return lease.Job
+}
+
+// TestReportCredentials pins how reports are authenticated: the reporter
+// must be registered with this coordinator incarnation (a previous
+// incarnation's worker ID is unknown, 404, never an alias of a fresh
+// worker), and the report's lease token must match the job's outstanding
+// lease — a re-queued, re-granted, forged, or missing token gets 410 and
+// never adopts anything.
+func TestReportCredentials(t *testing.T) {
+	cfg := testTimings()
+	cfg.LeaseTTL = time.Minute // probes report by hand: keep the detector
+	cfg.WorkerTimeout = time.Minute
+	_, prevURL := newCluster(t, server.Config{}, cfg)
+	staleID := registerProbe(t, prevURL)
+
+	coord, url := newCluster(t, server.Config{}, cfg)
+	a, b := registerProbe(t, url), registerProbe(t, url)
+	sys, err := procgraph.ParseSpec("ring:3", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan *server.JobResult, 1)
+	go func() {
+		res, _, _ := coord.Dispatch(context.Background(), server.DispatchJob{
+			ID: "job-1", Graph: gen.PaperExample(), System: sys, Engines: []string{"astar"}})
+		done <- res
+	}()
+	report := func(workerID, token string, terminal ReportRequest) int {
+		t.Helper()
+		terminal.ProtocolVersion, terminal.WorkerID, terminal.Token = ProtocolVersion, workerID, token
+		code, _ := postWire(t, url+"/v1/workers/jobs/job-1/report", terminal)
+		return code
+	}
+
+	// a takes the first lease and hands it back; b gets the re-grant.
+	first := leaseProbe(t, url, a)
+	if code := report(a, first.Token, ReportRequest{Abandon: true}); code != http.StatusOK {
+		t.Fatalf("abandon: got %d, want 200", code)
+	}
+	if code := report(a, first.Token, ReportRequest{}); code != http.StatusGone {
+		t.Fatalf("re-queued token while the job is pending: got %d, want 410", code)
+	}
+	second := leaseProbe(t, url, b)
+	if second.Token == first.Token {
+		t.Fatal("the re-grant reused the first lease's token")
+	}
+
+	for _, tc := range []struct {
+		name, workerID, token string
+		want                  int
+	}{
+		{"previous incarnation's worker ID", staleID, second.Token, http.StatusNotFound},
+		{"re-queued token from its old holder", a, first.Token, http.StatusGone},
+		{"re-granted lease's old token", b, first.Token, http.StatusGone},
+		{"forged token", b, randomHex(16), http.StatusGone},
+		{"missing token", b, "", http.StatusGone},
+		{"live lease", b, second.Token, http.StatusOK},
+	} {
+		if code := report(tc.workerID, tc.token, ReportRequest{}); code != tc.want {
+			t.Errorf("%s: got %d, want %d", tc.name, code, tc.want)
+		}
+	}
+	if h := coord.Health(); h.Adoptions != 0 {
+		t.Fatalf("health = %+v; no report here may adopt anything", h)
+	}
+
+	result := &server.JobResult{ID: "job-1", Length: 14, Optimal: true}
+	if code := report(b, second.Token, ReportRequest{Done: true, Result: result}); code != http.StatusOK {
+		t.Fatalf("terminal report: got %d, want 200", code)
+	}
+	if res := <-done; res == nil || res.Length != 14 {
+		t.Fatalf("Dispatch result = %+v, want the live lease's result", res)
+	}
+	if code := report(b, second.Token, ReportRequest{}); code != http.StatusGone {
+		t.Fatalf("token of a resolved job: got %d, want 410", code)
 	}
 }
 

@@ -38,16 +38,15 @@ import (
 	"repro/internal/server"
 )
 
-// newLeaseToken mints a lease's adoption credential: 32 hex characters of
-// entropy, unguessable by any worker that was not handed the grant.
-// Called outside the coordinator mutex — the system randomness read must
-// not ride the lease-table lock.
-func newLeaseToken() string {
-	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return fmt.Sprintf("token-%d", time.Now().UnixNano())
-	}
-	return hex.EncodeToString(b[:])
+// randomHex returns n bytes of system randomness, hex-encoded. It mints
+// lease tokens (16 bytes: the credential every report is authenticated
+// by, unguessable by any worker that was not handed the grant) and the
+// coordinator's incarnation epoch. Called outside the coordinator mutex —
+// the randomness read must not ride the lease-table lock.
+func randomHex(n int) string {
+	b := make([]byte, n)
+	rand.Read(b) // never returns an error: since Go 1.24 a failed read crashes the program
+	return hex.EncodeToString(b)
 }
 
 // Config tunes the coordinator's failure detection. The zero value is
@@ -72,17 +71,12 @@ type Config struct {
 	// ReapInterval is the failure-detector tick. <= 0 selects a quarter of
 	// the smaller of LeaseTTL and WorkerTimeout.
 	ReapInterval time.Duration
-	// AdoptGrace is how long a restarted coordinator holds a recovered
-	// lease open for its worker to long-poll back and re-adopt it. A lease
-	// whose worker never returns inside the window is re-queued without
-	// charging the job's retry budget (the worker did nothing wrong — the
-	// coordinator is the one that died). <= 0 selects 2×LeaseTTL.
-	AdoptGrace time.Duration
 	// Leases, when non-nil, is the durable lease journal (the file-backed
 	// job store implements it — server.LeaseStore): every grant and
 	// adoption is persisted and every resolution tombstoned, and the
-	// coordinator reads the surviving records back at construction to park
-	// them for adoption. Nil keeps the lease table memory-only.
+	// coordinator reads the surviving records back at construction so a
+	// report carrying a recovered token can adopt its lease. Nil keeps the
+	// lease table memory-only.
 	Leases server.LeaseStore
 	// Logger receives the coordinator's structured log records — worker
 	// registration/reaping, lease grants, failovers — stamped with each
@@ -123,9 +117,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ReapInterval <= 0 {
 		c.ReapInterval = min(c.LeaseTTL, c.WorkerTimeout) / 4
-	}
-	if c.AdoptGrace <= 0 {
-		c.AdoptGrace = 2 * c.LeaseTTL
 	}
 	return c
 }
@@ -178,28 +169,16 @@ type task struct {
 	lastPE, lastPF   int64
 	resolved         bool
 
-	// token is the lease's adoption credential (see LeasedJob.Token);
-	// leased marks a durable lease record journaled for this task, so
-	// resolutions know to tombstone it.
+	// token authenticates the lease holder's reports (see LeasedJob.Token);
+	// "" while no lease is outstanding, so a stale or forged token never
+	// matches. leased marks a durable lease record journaled for this task,
+	// so resolutions know to tombstone it.
 	token  string
 	leased bool
-	// adopting marks a recovered lease waiting inside the grace window for
-	// its worker to re-register; the task is neither pending nor leased to
-	// a live worker while set.
-	adopting bool
-}
-
-// parkedLease is a lease recovered from the durable journal whose job has
-// not been re-dispatched yet (Server.ResumeRecovered races worker
-// re-registration; either may arrive first). A worker that re-registers
-// first binds itself here, and any reports it sends before the job's
-// Dispatch arrives are buffered (latest wins — reports carry absolute
-// totals, and a terminal report is never overwritten by a progress one).
-type parkedLease struct {
-	rec        server.LeaseRecord
-	workerID   string // bound at re-registration; "" until then
-	workerName string
-	report     *ReportRequest
+	// recovered marks a lease journaled by the previous incarnation that
+	// no report has claimed yet: worker is "" but the lease is out, and it
+	// expires at the successor's start plus LeaseTTL like any other lease.
+	recovered bool
 }
 
 // Coordinator is the cluster's control plane: the worker registry, the
@@ -216,11 +195,15 @@ type Coordinator struct {
 	pending []*task          // FIFO subset of tasks awaiting a lease
 	wake    chan struct{}    // closed+replaced to wake lease long-polls
 	seq     int64
-	// parked holds the recovered leases awaiting their job's re-dispatch;
-	// adoptUntil is the grace deadline every recovered lease shares (the
-	// coordinator's start plus AdoptGrace).
-	parked     map[string]*parkedLease
-	adoptUntil time.Time
+	// epoch is this incarnation's random worker-ID prefix: a worker ID
+	// minted by a previous incarnation never aliases a fresh one.
+	epoch string
+	// started is when this incarnation came up; recovered leases expire
+	// at started+LeaseTTL. recovering maps each recovered lease's job ID
+	// to its token until the job's re-dispatch installs it (reports in
+	// between get a retryable 503).
+	started    time.Time
+	recovering map[string]string
 
 	dispatched int64
 	failovers  int64
@@ -232,32 +215,29 @@ type Coordinator struct {
 
 // NewCoordinator builds a coordinator and starts its failure detector.
 // With a durable lease journal configured, the previous incarnation's
-// surviving leases are parked for adoption synchronously here — before
-// any HTTP traffic can arrive — so a worker that re-registers is never
-// told to abandon a lease the journal still vouches for. Close it to stop
-// the detector and give every unresolved job back to the local pool.
+// surviving leases are read back synchronously here — before any HTTP
+// traffic can arrive — so a report racing its job's re-dispatch is told
+// to retry rather than that its lease is gone. Close it to stop the
+// detector and give every unresolved job back to the local pool.
 func NewCoordinator(cfg Config) *Coordinator {
 	logger := cfg.Logger
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
 	}
 	c := &Coordinator{
-		cfg:     cfg.withDefaults(),
-		log:     logger,
-		workers: map[string]*workerState{},
-		tasks:   map[string]*task{},
-		parked:  map[string]*parkedLease{},
-		wake:    make(chan struct{}),
-		closed:  make(chan struct{}),
+		cfg:        cfg.withDefaults(),
+		log:        logger,
+		workers:    map[string]*workerState{},
+		tasks:      map[string]*task{},
+		wake:       make(chan struct{}),
+		closed:     make(chan struct{}),
+		epoch:      randomHex(4),
+		started:    time.Now(),
+		recovering: map[string]string{},
 	}
-	c.adoptUntil = time.Now().Add(c.cfg.AdoptGrace)
 	if c.cfg.Leases != nil {
 		for _, rec := range c.cfg.Leases.RecoveredLeases() {
-			c.parked[rec.JobID] = &parkedLease{rec: rec}
-			c.log.Info("lease parked for adoption",
-				"job", rec.JobID, "trace_id", rec.TraceID,
-				"worker_id", rec.WorkerID, "attempt", rec.Attempt,
-				"grace_ms", c.cfg.AdoptGrace.Milliseconds())
+			c.recovering[rec.JobID] = rec.Token
 		}
 	}
 	c.mux = http.NewServeMux()
@@ -329,6 +309,7 @@ func (c *Coordinator) resolveLocked(t *task, out outcome) {
 		return
 	}
 	t.resolved = true
+	t.token = ""
 	c.dropLeaseLocked(t)
 	delete(c.tasks, t.job.ID)
 	for i, p := range c.pending {
@@ -396,6 +377,8 @@ func (c *Coordinator) requeueLocked(t *task, reason string, budgeted bool) {
 		delete(w.leased, t.job.ID)
 	}
 	t.worker = ""
+	t.token = ""
+	t.recovered = false
 	t.leaseExpiry = time.Time{}
 	t.baseExp += t.lastExp
 	t.baseGen += t.lastGen
@@ -448,33 +431,23 @@ func (c *Coordinator) reap() {
 			}
 		}
 		for _, t := range c.tasks {
-			if t.worker != "" && now.After(t.leaseExpiry) {
+			switch {
+			case t.worker == "" && !t.recovered, !now.After(t.leaseExpiry):
+				// Pending, or its lease is still live.
+			case t.recovered:
+				// No report ever claimed the recovered lease. Re-queue without
+				// charging the retry budget: the worker did nothing wrong and
+				// neither did the job — the coordinator is the process that died.
+				c.log.Warn("recovered lease expired",
+					"job", t.job.ID, "trace_id", t.job.TraceID, "attempt", t.attempts)
+				if t.job.Trace != nil {
+					t.job.Trace.RecordTimed("adopt", obs.OriginCoordinator, c.started, now,
+						"outcome", "expired", "attempt", strconv.Itoa(t.attempts))
+				}
+				c.requeueLocked(t, "recovered lease expired: no worker reported its token", false)
+			default:
 				c.requeueLocked(t, fmt.Sprintf("lease expired on worker %s", t.worker), true)
 			}
-		}
-		for _, t := range c.tasks {
-			if !t.adopting || !now.After(c.adoptUntil) {
-				continue
-			}
-			// The recovered lease's worker never came back. Re-queue without
-			// charging the retry budget: the worker did nothing wrong and
-			// neither did the job — the coordinator is the process that died.
-			t.adopting = false
-			if t.job.Trace != nil {
-				t.job.Trace.RecordTimed("adopt", obs.OriginCoordinator, c.adoptUntil.Add(-c.cfg.AdoptGrace), now,
-					"outcome", "expired", "attempt", strconv.Itoa(t.attempts))
-			}
-			c.requeueLocked(t, "adoption grace expired: the lease's worker never re-registered", false)
-		}
-		if len(c.parked) > 0 && now.After(c.adoptUntil) {
-			// Recovered leases whose job was never re-dispatched (the server
-			// failed it at resume, or it was cancelled): past the grace
-			// window their bound workers get 410 on the next report and drop
-			// the solve.
-			for id, p := range c.parked {
-				c.log.Warn("parked lease expired unclaimed", "job", id, "trace_id", p.rec.TraceID)
-			}
-			c.parked = map[string]*parkedLease{}
 		}
 		for _, t := range append([]*task(nil), c.pending...) {
 			if t.ctx.Err() != nil {
@@ -491,8 +464,8 @@ func (c *Coordinator) reap() {
 // block until the cluster resolves it. It declines immediately (handled =
 // false) when no workers are registered — the transparent local fallback.
 // A dispatch carrying a recovered lease (job.Resume) never declines on an
-// empty registry: its worker may still be long-polling its way back, so
-// the task parks in the adoption window instead.
+// empty registry: its worker may still be solving and on its way back, so
+// the lease stays out until a report claims it or it expires.
 func (c *Coordinator) Dispatch(ctx context.Context, job server.DispatchJob) (*server.JobResult, string, bool) {
 	if job.Resume == nil {
 		c.mu.Lock()
@@ -566,50 +539,36 @@ func (c *Coordinator) Dispatch(ctx context.Context, job server.DispatchJob) (*se
 }
 
 // resumeLocked installs a re-dispatched recovered job into the lease
-// table under its journaled lease. If the lease's worker already
-// re-registered (and bound itself to the parked entry), the task is
-// adopted on the spot and any buffered report — including a terminal one
-// the worker sent while the job's re-dispatch was still in flight — is
-// applied; otherwise the task waits in the adoption window for the worker
-// to return, and reap re-queues it (unbudgeted) if it never does. Returns
-// the job's Started callback for the caller to invoke outside the lock:
-// the job was solving before the crash, so it reads running immediately,
-// not queued.
+// table under its journaled lease, unbound: the first report carrying the
+// lease's token from a registered worker adopts it (adoptLocked), and
+// reap re-queues it unbudgeted if none arrives by the successor's start
+// plus LeaseTTL. Returns the job's Started callback for the caller to
+// invoke outside the lock: the job was solving before the crash, so it
+// reads running immediately, not queued.
 func (c *Coordinator) resumeLocked(t *task, rec *server.LeaseRecord) func() {
+	delete(c.recovering, t.job.ID)
 	t.token = rec.Token
 	t.attempts = rec.Attempt
 	t.leased = true // the journal already carries this lease
 	t.started = true
+	t.recovered = true
+	t.leaseExpiry = c.started.Add(c.cfg.LeaseTTL)
 	c.tasks[t.job.ID] = t
-	p := c.parked[t.job.ID]
-	delete(c.parked, t.job.ID)
-	var ws *workerState
-	if p != nil && p.workerID != "" {
-		ws = c.workers[p.workerID]
-	}
-	if ws == nil {
-		t.adopting = true
-		c.log.Info("recovered lease awaiting adoption",
-			"job", t.job.ID, "trace_id", t.job.TraceID,
-			"prev_worker_id", rec.WorkerID, "attempt", t.attempts,
-			"grace_ms", time.Until(c.adoptUntil).Milliseconds())
-		return t.job.Started
-	}
-	c.adoptLocked(t, ws)
-	if p.report != nil {
-		c.ingestReportLocked(t, ws, p.report)
-	}
+	c.log.Info("recovered lease awaiting adoption",
+		"job", t.job.ID, "trace_id", t.job.TraceID,
+		"prev_worker_id", rec.WorkerID, "attempt", t.attempts,
+		"expires_in_ms", time.Until(t.leaseExpiry).Milliseconds())
 	return t.job.Started
 }
 
-// adoptLocked binds a recovered lease to the worker that re-presented its
-// token: the solve continues under the worker's new ID on the same
+// adoptLocked binds a recovered lease to the worker whose report carried
+// its token: the solve continues under the worker's new ID on the same
 // attempt number — no retry budget is charged, because nothing failed.
 // The adopt span stretches from the coordinator's start to now: how long
 // the lease hung in the air before its worker reclaimed it.
 func (c *Coordinator) adoptLocked(t *task, ws *workerState) {
 	now := time.Now()
-	t.adopting = false
+	t.recovered = false
 	t.worker = ws.id
 	t.workerName = ws.name
 	t.leaseStart = now
@@ -617,7 +576,7 @@ func (c *Coordinator) adoptLocked(t *task, ws *workerState) {
 	ws.leased[t.job.ID] = t
 	c.adoptions++
 	if t.job.Trace != nil {
-		t.job.Trace.RecordTimed("adopt", obs.OriginCoordinator, c.adoptUntil.Add(-c.cfg.AdoptGrace), now,
+		t.job.Trace.RecordTimed("adopt", obs.OriginCoordinator, c.started, now,
 			"worker", ws.name,
 			"worker_id", ws.id,
 			"attempt", strconv.Itoa(t.attempts),
@@ -728,8 +687,8 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Lock()
 	c.seq++
-	id := fmt.Sprintf("worker-%d", c.seq)
-	ws := &workerState{
+	id := fmt.Sprintf("w-%s-%d", c.epoch, c.seq)
+	c.workers[id] = &workerState{
 		id:       id,
 		name:     req.Name,
 		capacity: req.Capacity,
@@ -737,66 +696,15 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		lastSeen: time.Now(),
 		leased:   map[string]*task{},
 	}
-	c.workers[id] = ws
-	adoptions := c.adoptHeldLocked(ws, req.HeldLeases)
 	c.mu.Unlock()
 	c.log.Info("worker registered",
 		"worker", req.Name, "worker_id", id,
-		"capacity", req.Capacity, "engines", strings.Join(req.Engines, ","),
-		"held_leases", len(req.HeldLeases))
+		"capacity", req.Capacity, "engines", strings.Join(req.Engines, ","))
 	server.WriteJSON(w, http.StatusOK, RegisterResponse{
 		WorkerID:         id,
 		LeaseTTLMS:       c.cfg.LeaseTTL.Milliseconds(),
 		ReportIntervalMS: c.cfg.ReportInterval.Milliseconds(),
-		Adoptions:        adoptions,
 	})
-}
-
-// adoptHeldLocked answers a re-registering worker's held leases. A lease
-// is adopted when its token matches either a live adopting task (the
-// job's re-dispatch arrived first) or a parked recovered lease (the
-// worker arrived first — it binds here and the re-dispatch completes the
-// adoption); anything else is abandoned with the reason, and the worker
-// cancels that solve.
-func (c *Coordinator) adoptHeldLocked(ws *workerState, held []HeldLease) []LeaseAdoption {
-	if len(held) == 0 {
-		return nil
-	}
-	out := make([]LeaseAdoption, 0, len(held))
-	for _, h := range held {
-		a := LeaseAdoption{JobID: h.JobID}
-		t := c.tasks[h.JobID]
-		p := c.parked[h.JobID]
-		switch {
-		case t != nil && t.adopting && h.Token != "" && t.token == h.Token:
-			c.adoptLocked(t, ws)
-			a.Adopted = true
-		case p != nil && h.Token != "" && p.rec.Token == h.Token:
-			p.workerID = ws.id
-			p.workerName = ws.name
-			a.Adopted = true
-			c.log.Info("parked lease bound to re-registered worker",
-				"job", h.JobID, "trace_id", p.rec.TraceID,
-				"worker", ws.name, "worker_id", ws.id)
-		case (t != nil && t.adopting) || p != nil:
-			a.Reason = "lease token mismatch"
-		default:
-			a.Reason = "no adoptable lease for this job (resolved, re-queued, or past the grace window)"
-		}
-		if !a.Adopted {
-			traceID := ""
-			switch {
-			case t != nil:
-				traceID = t.job.TraceID
-			case p != nil:
-				traceID = p.rec.TraceID
-			}
-			c.log.Warn("held lease abandoned", "job", h.JobID, "trace_id", traceID,
-				"worker", ws.name, "worker_id", ws.id, "reason", a.Reason)
-		}
-		out = append(out, a)
-	}
-	return out
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -836,7 +744,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	for {
 		// Minted before the lock: the grant must not read system randomness
 		// while holding the lease table. An ungranted token is discarded.
-		token := newLeaseToken()
+		token := randomHex(16)
 		c.mu.Lock()
 		ws := c.workers[req.WorkerID]
 		if ws == nil {
@@ -931,10 +839,13 @@ func (c *Coordinator) grantLocked(ws *workerState, token string) (*LeasedJob, fu
 	return nil, nil
 }
 
-// handleReport ingests a worker's progress or terminal report. 404 means
-// the worker itself is unknown; 410 means the lease is gone (job resolved,
-// cancelled, or re-queued elsewhere) and the worker must drop the job
-// without further reports.
+// handleReport ingests a worker's progress or terminal report. The
+// reporter must be registered (404 otherwise: re-register), and the report
+// is authenticated by its lease token, not by who sent it: a token that
+// matches no outstanding lease gets 410 (job resolved, cancelled, or
+// re-queued elsewhere) and the worker drops the job. The first report
+// carrying a recovered lease's token adopts that lease; one that arrives
+// before the job's re-dispatch has installed it gets a retryable 503.
 func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var req ReportRequest
@@ -951,24 +862,22 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusNotFound, server.ErrCodeUnknownWorker, "unknown worker %q (re-register)", req.WorkerID)
 		return
 	}
-	ws.lastSeen = time.Now()
+	now := time.Now()
+	ws.lastSeen = now
 	t := c.tasks[id]
-	if t == nil || t.worker != req.WorkerID {
-		// An adopted-at-registration worker can start reporting before the
-		// job's own re-dispatch reaches the coordinator: buffer the report
-		// on the parked lease (latest wins, but a terminal report is never
-		// displaced by a progress one) and apply it when the task arrives.
-		if p := c.parked[id]; t == nil && p != nil && p.workerID == req.WorkerID {
-			if req.Done || req.Abandon || p.report == nil || !(p.report.Done || p.report.Abandon) {
-				p.report = &req
-			}
-			c.mu.Unlock()
-			server.WriteJSON(w, http.StatusOK, ReportResponse{Cancel: false})
+	if t == nil || req.Token == "" || t.token != req.Token {
+		recovering := t == nil && req.Token != "" && c.recovering[id] == req.Token &&
+			now.Before(c.started.Add(c.cfg.LeaseTTL))
+		c.mu.Unlock()
+		if recovering {
+			server.WriteJobError(w, http.StatusServiceUnavailable, server.ErrCodeLeaseRecovering, id, "lease on job %q is being recovered; retry", id)
 			return
 		}
-		c.mu.Unlock()
-		server.WriteJobError(w, http.StatusGone, server.ErrCodeLeaseGone, id, "no lease on job %q held by worker %q", id, req.WorkerID)
+		server.WriteJobError(w, http.StatusGone, server.ErrCodeLeaseGone, id, "no outstanding lease on job %q matches the report's token", id)
 		return
+	}
+	if t.recovered {
+		c.adoptLocked(t, ws)
 	}
 	cancel := t.ctx.Err() != nil
 	c.ingestReportLocked(t, ws, &req)
@@ -976,16 +885,14 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 	server.WriteJSON(w, http.StatusOK, ReportResponse{Cancel: cancel})
 }
 
-// ingestReportLocked folds one report from the task's lease holder into
-// the job: lease extension, progress counters, trace spans, and the
-// terminal transitions. Shared by handleReport and the parked-report
-// replay in resumeLocked.
+// ingestReportLocked folds one authenticated report into the job: lease
+// extension, progress counters, trace spans, and the terminal transitions.
 func (c *Coordinator) ingestReportLocked(t *task, ws *workerState, req *ReportRequest) {
 	t.leaseExpiry = time.Now().Add(c.cfg.LeaseTTL)
 	t.lastExp, t.lastGen = req.Expanded, req.Generated
 	t.lastPE, t.lastPF = req.PrunedEquiv, req.PrunedFTO
 	// The progress fold happens under the mutex, atomically with the
-	// lease-holder check in the caller: a stale report racing a failover
+	// token check in the caller: a stale report racing a failover
 	// must not rewind the counters after the survivor reported larger
 	// totals.
 	if t.job.Progress != nil {

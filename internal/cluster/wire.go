@@ -18,9 +18,9 @@ import (
 // speaks. Every request decoder rejects unknown fields, so adding a
 // field is a breaking change for older peers — the version handshake
 // turns that silent decode drift into a typed rejection. Version 2
-// added lease tokens, held-lease re-registration, and the unified
-// error envelope.
-const ProtocolVersion = 2
+// added lease tokens and the unified error envelope; version 3
+// authenticates every report by its lease token.
+const ProtocolVersion = 3
 
 // ProtocolError reports a register/lease/report attempt by a worker
 // speaking a different protocol revision than the coordinator. A zero
@@ -35,9 +35,9 @@ func (e *ProtocolError) Error() string {
 }
 
 // RegisterRequest is the body of POST /v1/workers/register: a worker
-// announcing itself and its capacity. A worker that held leases from a
-// previous coordinator incarnation re-presents them so the coordinator
-// can adopt the in-flight solves instead of failing them over.
+// announcing itself and its capacity. A worker re-registering after a
+// coordinator restart presents nothing more: its leases ride its reports'
+// tokens.
 type RegisterRequest struct {
 	// ProtocolVersion is the wire revision the worker speaks; the
 	// coordinator rejects a mismatch with a typed error naming both
@@ -51,41 +51,17 @@ type RegisterRequest struct {
 	// Engines are the registry engines the worker serves, for the
 	// /v1/engines cluster view.
 	Engines []string `json:"engines,omitempty"`
-	// HeldLeases are the leases this worker still holds from before the
-	// coordinator restarted (or before its own ID was forgotten); the
-	// coordinator answers adopt/abandon per lease in Adoptions.
-	HeldLeases []HeldLease `json:"held_leases,omitempty"`
-}
-
-// HeldLease is one in-flight lease a re-registering worker presents for
-// adoption: the job, the secret token the original grant carried, and
-// the attempt number the worker is solving under.
-type HeldLease struct {
-	JobID   string `json:"job_id"`
-	Token   string `json:"token"`
-	Attempt int    `json:"attempt"`
-}
-
-// LeaseAdoption is the coordinator's verdict on one presented lease:
-// adopted means the worker keeps solving and reports under its new
-// worker ID; otherwise the worker must cancel the solve (Reason says
-// why — the job finished, was re-queued, or the token didn't match).
-type LeaseAdoption struct {
-	JobID   string `json:"job_id"`
-	Adopted bool   `json:"adopted"`
-	Reason  string `json:"reason,omitempty"`
 }
 
 // RegisterResponse returns the assigned worker ID and the cadence contract:
 // a leased job must be reported on (or the lease re-confirmed) within the
-// lease TTL, and the worker should report progress every interval.
+// lease TTL, and the worker should report progress every interval. The ID
+// is "w-<epoch>-<seq>", where the epoch is random per coordinator
+// incarnation, so an ID from before a restart is always unknown (404).
 type RegisterResponse struct {
 	WorkerID         string `json:"worker_id"`
 	LeaseTTLMS       int64  `json:"lease_ttl_ms"`
 	ReportIntervalMS int64  `json:"report_interval_ms"`
-	// Adoptions answers the request's HeldLeases one-to-one (matched by
-	// job ID); empty when the worker presented none.
-	Adoptions []LeaseAdoption `json:"adoptions,omitempty"`
 }
 
 // HeartbeatRequest is the body of POST /v1/workers/heartbeat. Lease polls
@@ -122,10 +98,10 @@ type LeasedJob struct {
 	// submission; the worker stamps it on its log records and the spans it
 	// reports back, so the remote attempt correlates end to end.
 	TraceID string `json:"trace_id,omitempty"`
-	// Token is the lease's adoption credential: a random secret the
-	// worker re-presents at re-registration to prove it holds this exact
-	// grant, so a restarted coordinator re-adopts the in-flight solve
-	// instead of failing it over.
+	// Token is the lease's credential: a random secret every report on
+	// this job must carry. It outlives the worker ID, so after a
+	// coordinator restart the first report carrying it (under the worker's
+	// fresh ID) re-adopts the in-flight solve instead of failing it over.
 	Token string `json:"token,omitempty"`
 }
 
@@ -145,6 +121,9 @@ type ReportRequest struct {
 	// RegisterRequest.ProtocolVersion.
 	ProtocolVersion int    `json:"protocol_version"`
 	WorkerID        string `json:"worker_id"`
+	// Token is the lease token from LeasedJob.Token; it, not WorkerID,
+	// authenticates the report.
+	Token string `json:"token"`
 	// Expanded/Generated are the absolute totals of this attempt; the
 	// coordinator folds them into the job's live progress on top of the
 	// counts earlier attempts accumulated. PrunedEquiv/PrunedFTO carry the

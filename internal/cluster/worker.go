@@ -63,55 +63,11 @@ type Worker struct {
 
 	id          string
 	reportEvery time.Duration
-	held        map[string]*heldLease // live leases, by job ID
 
 	killed     atomic.Bool
 	cancel     context.CancelFunc
-	mu         sync.Mutex // guards id, reportEvery, held, and cancel during re-registration/kill
+	mu         sync.Mutex // guards id, reportEvery, and cancel during re-registration/kill
 	registerMu sync.Mutex // single-flights re-registration across the pullers
-}
-
-// heldLease tracks one live lease so a coordinator restart can be
-// survived: every (re-)registration presents the held leases, and the
-// coordinator answers adopt or abandon per lease. An adopted lease keeps
-// solving — its reports simply move to the fresh worker identity; an
-// abandoned one is cancelled on the spot, because the coordinator has
-// already resolved or re-queued the job and the local attempt is waste.
-type heldLease struct {
-	jobID   string
-	token   string
-	attempt int
-	traceID string
-	cancel  context.CancelFunc
-
-	mu       sync.Mutex
-	workerID string // identity the lease currently reports under
-	lost     bool   // the coordinator refused adoption
-}
-
-func (h *heldLease) currentWorkerID() string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.workerID
-}
-
-func (h *heldLease) adopt(workerID string) {
-	h.mu.Lock()
-	h.workerID = workerID
-	h.mu.Unlock()
-}
-
-func (h *heldLease) abandon() {
-	h.mu.Lock()
-	h.lost = true
-	h.mu.Unlock()
-	h.cancel()
-}
-
-func (h *heldLease) isLost() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.lost
 }
 
 // NewWorker builds a worker; Run starts it.
@@ -139,7 +95,6 @@ func NewWorker(cfg WorkerConfig) *Worker {
 		client: client,
 		logf:   logf,
 		log:    logger,
-		held:   map[string]*heldLease{},
 	}
 }
 
@@ -212,10 +167,7 @@ func statusCode(err error) int {
 }
 
 // register announces the worker, retrying until ctx ends (the daemon may
-// come up after the worker). Re-registrations carry the held leases; the
-// coordinator's per-lease adopt/abandon verdicts are applied before
-// returning, so callers observe every surviving lease already moved to
-// the fresh identity.
+// come up after the worker).
 func (w *Worker) register(ctx context.Context) error {
 	for {
 		req := RegisterRequest{
@@ -223,7 +175,6 @@ func (w *Worker) register(ctx context.Context) error {
 			Name:            w.name,
 			Capacity:        w.pool.Workers(),
 			Engines:         engine.Names(),
-			HeldLeases:      w.heldLeases(),
 		}
 		var resp RegisterResponse
 		err := w.post(ctx, "/v1/workers/register", req, &resp)
@@ -236,7 +187,6 @@ func (w *Worker) register(ctx context.Context) error {
 			w.id = resp.WorkerID
 			w.reportEvery = every
 			w.mu.Unlock()
-			w.applyAdoptions(resp.WorkerID, resp.Adoptions)
 			w.logf("registered as %s (capacity %d) with %s", resp.WorkerID, req.Capacity, w.base)
 			return nil
 		}
@@ -264,57 +214,12 @@ func (w *Worker) workerID() string {
 	return w.id
 }
 
-// heldLeases snapshots the live leases for a (re-)registration.
-func (w *Worker) heldLeases() []HeldLease {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make([]HeldLease, 0, len(w.held))
-	for _, h := range w.held {
-		out = append(out, HeldLease{JobID: h.jobID, Token: h.token, Attempt: h.attempt})
-	}
-	return out
-}
-
-// applyAdoptions applies the coordinator's per-lease verdicts from a
-// registration response: adopted leases move to the fresh worker identity,
-// abandoned ones are cancelled through their handle.
-func (w *Worker) applyAdoptions(workerID string, adoptions []LeaseAdoption) {
-	for _, a := range adoptions {
-		w.mu.Lock()
-		h := w.held[a.JobID]
-		w.mu.Unlock()
-		if h == nil {
-			continue
-		}
-		if a.Adopted {
-			h.adopt(workerID)
-			w.logf("job %s: lease adopted across coordinator restart", a.JobID)
-			w.log.Info("lease adopted", "job", a.JobID, "trace_id", h.traceID, "worker_id", workerID)
-		} else {
-			w.logf("job %s: lease abandoned by coordinator: %s", a.JobID, a.Reason)
-			w.log.Warn("lease abandoned", "job", a.JobID, "trace_id", h.traceID, "reason", a.Reason)
-			h.abandon()
-		}
-	}
-}
-
-func (w *Worker) addHeld(h *heldLease) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.held[h.jobID] = h
-}
-
-func (w *Worker) dropHeld(jobID string) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	delete(w.held, jobID)
-}
-
 // reregister refreshes a registration the coordinator forgot,
-// single-flight across the pullers: whichever puller saw the 404 first
-// re-registers; the ones racing behind it observe the ID already moved on
-// from staleID and reuse the fresh registration instead of creating
-// duplicate worker entries.
+// single-flight across the pullers and reporters: whichever saw the 404
+// first re-registers; the ones racing behind it observe the ID already
+// moved on from staleID and reuse the fresh registration instead of
+// creating duplicate worker entries. The worker's leases survive: their
+// tokens authenticate the next reports under the fresh ID.
 func (w *Worker) reregister(ctx context.Context, staleID string) error {
 	w.registerMu.Lock()
 	defer w.registerMu.Unlock()
@@ -371,9 +276,7 @@ func (w *Worker) Run(ctx context.Context) error {
 }
 
 // pull is one slot's lease loop; it returns non-nil only on a fatal,
-// non-transient error. The worker ID is captured per poll and pinned to
-// the resulting lease: a re-registration by a sibling puller must not
-// change the identity a running job reports under.
+// non-transient error.
 func (w *Worker) pull(ctx context.Context) error {
 	for ctx.Err() == nil {
 		id := w.workerID()
@@ -382,7 +285,7 @@ func (w *Worker) pull(ctx context.Context) error {
 		switch {
 		case err == nil:
 			if resp.Job != nil {
-				w.runJob(ctx, id, resp.Job)
+				w.runJob(ctx, resp.Job)
 			}
 		case ctx.Err() != nil:
 			return nil
@@ -409,30 +312,18 @@ func (w *Worker) pull(ctx context.Context) error {
 
 // runJob solves one leased job, streaming progress reports and ending with
 // a terminal report: Done with the result (or error), or Abandon when the
-// worker is draining. Every report carries workerID, the identity the
-// lease was granted under (not the live one, which a sibling puller's
-// re-registration may have moved on). A killed worker reports nothing at
-// all.
-func (w *Worker) runJob(ctx context.Context, workerID string, lease *LeasedJob) {
+// worker is draining. Every report carries the lease token, which is what
+// authenticates it, and the worker's current ID. ctx is the run context: a
+// re-registration runs on it, so ending the solve never cancels one
+// midway, and only a 410 or a Cancel ack means the lease is gone. A
+// killed worker reports nothing at all.
+func (w *Worker) runJob(ctx context.Context, lease *LeasedJob) {
 	w.logf("job %s (attempt %d): %s", lease.ID, lease.Attempt, strings.Join(lease.Engines, ","))
 	w.log.Info("lease received",
 		"job", lease.ID, "trace_id", lease.TraceID,
 		"attempt", lease.Attempt, "engines", strings.Join(lease.Engines, ","))
 	jobCtx, cancelJob := context.WithCancel(ctx)
 	defer cancelJob()
-	// The held-lease handle is what survives a coordinator restart: a
-	// re-registration (by any puller) presents it, and an adoption verdict
-	// either moves its worker identity or cancels jobCtx through it.
-	h := &heldLease{
-		jobID:    lease.ID,
-		token:    lease.Token,
-		attempt:  lease.Attempt,
-		traceID:  lease.TraceID,
-		cancel:   cancelJob,
-		workerID: workerID,
-	}
-	w.addHeld(h)
-	defer w.dropHeld(lease.ID)
 
 	// The attempt's spans accumulate locally and ship on the terminal
 	// report; origin "worker:<name>" tells the trace reader which process
@@ -444,13 +335,13 @@ func (w *Worker) runJob(ctx context.Context, workerID string, lease *LeasedJob) 
 	g, err := taskgraph.FromJSON(lease.Graph)
 	if err != nil {
 		decode.End("outcome", "error")
-		w.finishJob(h, progress, rec, nil, fmt.Sprintf("decode graph: %v", err))
+		w.finishJob(lease, progress, rec, nil, fmt.Sprintf("decode graph: %v", err))
 		return
 	}
 	sys, err := procgraph.FromJSON(lease.System)
 	if err != nil {
 		decode.End("outcome", "error")
-		w.finishJob(h, progress, rec, nil, fmt.Sprintf("decode system: %v", err))
+		w.finishJob(lease, progress, rec, nil, fmt.Sprintf("decode system: %v", err))
 		return
 	}
 	decode.End("tasks", strconv.Itoa(g.NumNodes()))
@@ -460,8 +351,9 @@ func (w *Worker) runJob(ctx context.Context, workerID string, lease *LeasedJob) 
 
 	// The reporter doubles as the cancellation listener: a Cancel ack (or a
 	// 410 for a lease the coordinator already revoked) stops the solve,
-	// which then returns its incumbent within one expansion.
-	var cancelled atomic.Bool
+	// which then returns its incumbent within one expansion. dropReason is
+	// written only by the reporter and read after reporterDone closes.
+	var dropReason string
 	reporterDone := make(chan struct{})
 	go func() {
 		defer close(reporterDone)
@@ -476,30 +368,31 @@ func (w *Worker) runJob(ctx context.Context, workerID string, lease *LeasedJob) 
 			exp, gen := progress.Snapshot()
 			pe, pf := progress.SnapshotPruned()
 			inc, bestF, open := progress.Gauges()
-			wid := h.currentWorkerID()
+			wid := w.workerID()
 			var ack ReportResponse
 			err := w.post(jobCtx, "/v1/workers/jobs/"+lease.ID+"/report",
 				ReportRequest{ProtocolVersion: ProtocolVersion,
-					WorkerID: wid, Expanded: exp, Generated: gen,
+					WorkerID: wid, Token: lease.Token, Expanded: exp, Generated: gen,
 					PrunedEquiv: pe, PrunedFTO: pf,
 					Incumbent: inc, BestF: bestF, OpenLen: open}, &ack)
 			switch {
-			case (err == nil && ack.Cancel) || statusCode(err) == http.StatusGone:
-				// The lease is gone (cancelled or re-queued elsewhere).
-				cancelled.Store(true)
-				cancelJob()
-				return
+			case err == nil && ack.Cancel:
+				dropReason = "cancelled"
+			case statusCode(err) == http.StatusGone:
+				dropReason = "lease_gone"
 			case statusCode(err) == http.StatusNotFound:
 				// The coordinator forgot this worker — typically a restart.
-				// Re-register presenting the held leases: an adopted lease
-				// keeps solving under the fresh identity the handle now
-				// carries; an abandoned one was already cancelled through
-				// the handle by applyAdoptions.
-				if rerr := w.reregister(jobCtx, wid); rerr != nil || h.isLost() {
-					cancelled.Store(true)
-					cancelJob()
-					return
+				// Re-register and keep solving: the next report, under the
+				// fresh ID, carries the token that adopts the lease. A 503
+				// (lease still recovering) or a transport error simply
+				// retries on the next tick.
+				if rerr := w.reregister(ctx, wid); rerr != nil && ctx.Err() == nil {
+					w.logf("job %s: re-register: %v", lease.ID, rerr)
 				}
+			}
+			if dropReason != "" {
+				cancelJob()
+				return
 			}
 		}
 	}()
@@ -539,16 +432,20 @@ func (w *Worker) runJob(ctx context.Context, workerID string, lease *LeasedJob) 
 	case w.killed.Load():
 		// A crash reports nothing; the coordinator's failure detector
 		// takes it from here.
-	case cancelled.Load() || h.isLost():
-		// The lease is gone coordinator-side; a final report would 410.
+	case dropReason != "":
+		// The coordinator revoked the lease; a final report would 410.
+		w.logf("job %s: result dropped (%s)", lease.ID, dropReason)
+		w.log.Warn("result dropped", "job", lease.ID, "trace_id", lease.TraceID, "reason", dropReason)
 	case ctx.Err() != nil:
 		// Draining: hand the job back for another worker to finish.
-		w.abandonJob(h, progress)
+		req := terminalReport(lease.Token, progress, nil)
+		req.Abandon = true
+		w.sendTerminal(lease, req)
 	default:
 		w.log.Info("job finished",
 			"job", lease.ID, "trace_id", lease.TraceID,
 			"attempt", lease.Attempt, "error", errMessage)
-		w.finishJob(h, progress, rec, res, errMessage)
+		w.finishJob(lease, progress, rec, res, errMessage)
 	}
 }
 
@@ -562,8 +459,8 @@ const terminalReportTimeout = 10 * time.Second
 // terminalReport assembles the final totals of an attempt — counters,
 // gauges, and (for Done reports) the attempt's spans — from its live
 // progress and recorder.
-func terminalReport(workerID string, prog *solverpool.Progress, rec *obs.Recorder) ReportRequest {
-	req := ReportRequest{ProtocolVersion: ProtocolVersion, WorkerID: workerID}
+func terminalReport(token string, prog *solverpool.Progress, rec *obs.Recorder) ReportRequest {
+	req := ReportRequest{ProtocolVersion: ProtocolVersion, Token: token}
 	req.Expanded, req.Generated = prog.Snapshot()
 	req.PrunedEquiv, req.PrunedFTO = prog.SnapshotPruned()
 	req.Incumbent, req.BestF, req.OpenLen = prog.Gauges()
@@ -573,42 +470,56 @@ func terminalReport(workerID string, prog *solverpool.Progress, rec *obs.Recorde
 	return req
 }
 
-// finishJob sends the terminal Done report. The coordinator may have
-// revoked the lease meanwhile (410) — then the outcome is simply dropped.
-// A 404 right as the solve ends usually means the coordinator restarted:
-// re-register presenting the held leases, and if this lease is adopted,
-// deliver the outcome once more under the fresh identity.
-func (w *Worker) finishJob(h *heldLease, prog *solverpool.Progress, rec *obs.Recorder, res *server.JobResult, errMessage string) {
-	ctx, cancel := context.WithTimeout(context.Background(), terminalReportTimeout)
-	defer cancel()
-	for attempt := 0; ; attempt++ {
-		req := terminalReport(h.currentWorkerID(), prog, rec)
-		req.Done, req.Result, req.Error = true, res, errMessage
-		err := w.post(ctx, "/v1/workers/jobs/"+h.jobID+"/report", req, nil)
-		if err == nil || statusCode(err) == http.StatusGone {
-			return
-		}
-		if attempt == 0 && statusCode(err) == http.StatusNotFound {
-			if rerr := w.reregister(ctx, h.currentWorkerID()); rerr == nil && !h.isLost() {
-				continue
-			}
-		}
-		w.logf("job %s: final report failed: %v", h.jobID, err)
-		w.log.Warn("final report failed", "job", h.jobID, "trace_id", h.traceID, "error", err.Error())
-		return
-	}
+// finishJob sends the terminal Done report.
+func (w *Worker) finishJob(lease *LeasedJob, prog *solverpool.Progress, rec *obs.Recorder, res *server.JobResult, errMessage string) {
+	req := terminalReport(lease.Token, prog, rec)
+	req.Done, req.Result, req.Error = true, res, errMessage
+	w.sendTerminal(lease, req)
 }
 
-// abandonJob hands a job back to the coordinator for re-leasing. No spans
-// ride an Abandon: the attempt did not conclude, and the next lease's
-// worker will record its own.
-func (w *Worker) abandonJob(h *heldLease, prog *solverpool.Progress) {
+// sendTerminal delivers a terminal report (Done, or an Abandon hand-back;
+// no spans ride an Abandon: the attempt did not conclude). A 503 (the
+// lease is still being recovered) or a transport error is retried with
+// backoff until terminalReportTimeout; a 404 — the coordinator restarted
+// or timed this worker out — re-registers first, and the token carries the
+// lease across to the fresh ID. A 410 means the coordinator revoked the
+// lease. Every undelivered outcome is logged once.
+func (w *Worker) sendTerminal(lease *LeasedJob, req ReportRequest) {
 	ctx, cancel := context.WithTimeout(context.Background(), terminalReportTimeout)
 	defer cancel()
-	req := terminalReport(h.currentWorkerID(), prog, nil)
-	req.Abandon = true
-	err := w.post(ctx, "/v1/workers/jobs/"+h.jobID+"/report", req, nil)
-	if err != nil && statusCode(err) != http.StatusGone {
-		w.logf("job %s: abandon failed: %v", h.jobID, err)
+	giveUp := func(attempts int, err error) {
+		w.logf("job %s: terminal report failed after %d attempts: %v", lease.ID, attempts, err)
+		w.log.Warn("terminal report failed", "job", lease.ID, "trace_id", lease.TraceID,
+			"attempts", attempts, "done", req.Done, "error", err.Error())
+	}
+	backoff := 50 * time.Millisecond
+	for attempts := 1; ; attempts++ {
+		req.WorkerID = w.workerID()
+		err := w.post(ctx, "/v1/workers/jobs/"+lease.ID+"/report", req, nil)
+		switch code := statusCode(err); {
+		case err == nil:
+			return
+		case code == http.StatusGone:
+			if req.Done {
+				w.logf("job %s: result dropped (lease_gone)", lease.ID)
+				w.log.Warn("result dropped", "job", lease.ID, "trace_id", lease.TraceID, "reason", "lease_gone")
+			}
+			return
+		case code == http.StatusNotFound:
+			err = w.reregister(ctx, req.WorkerID) // nil: retry at once under the fresh ID
+		case code != http.StatusServiceUnavailable && code/100 == 4:
+			giveUp(attempts, err) // a refusal retrying cannot heal
+			return
+		}
+		if err == nil {
+			continue
+		}
+		select {
+		case <-time.After(backoff):
+			backoff = min(2*backoff, time.Second)
+		case <-ctx.Done():
+			giveUp(attempts, err)
+			return
+		}
 	}
 }

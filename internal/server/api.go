@@ -401,12 +401,17 @@ const (
 	ErrCodeInternal = "internal"
 	// ErrCodeUnknownWorker: the worker ID is not registered (the
 	// coordinator restarted or timed the worker out); the worker must
-	// re-register, presenting any leases it still holds.
+	// re-register. Its leases survive: reports are authenticated by the
+	// lease token, not the worker ID.
 	ErrCodeUnknownWorker = "unknown_worker"
-	// ErrCodeLeaseGone: the reported job is no longer leased to this
-	// worker (it failed over, finished, or was cancelled); the worker
-	// drops the solve.
+	// ErrCodeLeaseGone: the report's lease token matches no outstanding
+	// lease on the job (it failed over, finished, or was cancelled); the
+	// worker drops the solve.
 	ErrCodeLeaseGone = "lease_gone"
+	// ErrCodeLeaseRecovering: the report carries a lease recovered from a
+	// restarted coordinator's journal whose job has not been re-dispatched
+	// yet. Retryable (503): the next report adopts the lease.
+	ErrCodeLeaseRecovering = "lease_recovering"
 	// ErrCodeProtocolMismatch: the worker speaks a different cluster wire
 	// protocol revision than the coordinator; the message names both
 	// versions. Not retryable — redeploy the older side.

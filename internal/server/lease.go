@@ -7,10 +7,11 @@ import "time"
 // one mutex; a coordinator restart used to lose every in-flight lease and
 // fail the jobs even though the job store survived. The fileStore now
 // journals each lease grant alongside the job records in the same WAL, so
-// a restarted coordinator re-adopts live leases: workers that long-poll
-// back within the adoption grace window present their lease token and
-// keep solving; leases whose worker never returns are re-queued without
-// charging the job's retry budget. See DESIGN.md §9/§10.
+// a restarted coordinator re-adopts live leases: the first report that
+// carries a recovered lease's token adopts it, and the worker keeps
+// solving; a lease no report claims within the lease TTL of the restart
+// is re-queued without charging the job's retry budget. See DESIGN.md
+// §9/§10.
 
 // LeaseRecord is the persisted form of one lease grant: everything a
 // restarted coordinator needs to recognize the worker when it comes back
@@ -22,18 +23,18 @@ type LeaseRecord struct {
 	JobID      string `json:"job_id"`
 	WorkerID   string `json:"worker_id"`
 	WorkerName string `json:"worker_name,omitempty"`
-	// Token is the adoption credential: a random secret handed to the
-	// worker with the lease and re-presented at re-registration. Matching
-	// tokens prove the returning worker holds this exact grant, not a
-	// stale or forged one.
+	// Token is the lease's credential: a random secret handed to the
+	// worker with the lease and carried by every report. A matching token
+	// proves the reporter holds this exact grant, not a stale or forged
+	// one, so after a restart it is what adopts the lease.
 	Token string `json:"token"`
 	// Attempt is the 1-based lease count of the job at grant time; a
 	// re-adopted lease resumes this attempt rather than charging a new one.
 	Attempt int       `json:"attempt"`
 	Granted time.Time `json:"granted"`
 	// Deadline is the lease expiry at grant time — informational after a
-	// restart (recovery runs on the adoption grace window, not the original
-	// TTL, since the coordinator was down for an unknown span).
+	// restart (a recovered lease expires at the successor's start plus the
+	// lease TTL, since the coordinator was down for an unknown span).
 	Deadline time.Time `json:"deadline"`
 	TraceID  string    `json:"trace_id,omitempty"`
 }
@@ -78,8 +79,8 @@ func (fs *fileStore) PutLease(rec LeaseRecord) {
 }
 
 // DropLease implements LeaseStore. The tombstone is not fsynced: losing
-// it merely makes a restart offer adoption for a lease nobody holds,
-// which the grace window expires harmlessly.
+// it merely makes a restart recover a lease nobody holds, which expires
+// harmlessly.
 func (fs *fileStore) DropLease(jobID string) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()

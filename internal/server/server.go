@@ -122,9 +122,9 @@ type DispatchJob struct {
 	Trace *obs.Recorder
 	// Resume, when non-nil, marks this dispatch as the re-offer of a job
 	// recovered after a restart with a live lease record: the coordinator
-	// holds the lease open for its worker to re-adopt within the grace
-	// window instead of granting a fresh lease, and a worker that never
-	// returns re-queues the job without charging its retry budget.
+	// keeps the lease out for the first report carrying its token to adopt
+	// instead of granting a fresh lease, and a lease no report claims
+	// re-queues the job without charging its retry budget.
 	Resume *LeaseRecord
 }
 
