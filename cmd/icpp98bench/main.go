@@ -9,16 +9,11 @@
 //	icpp98bench -experiment distribution      # parallel placement-policy ablation
 //	icpp98bench -experiment deviation         # list heuristics vs proven optima
 //	icpp98bench -experiment engines           # every registry engine head-to-head
-//	icpp98bench -experiment large             # v > 64: Aε*/portfolio at 80/128/256
-//	icpp98bench -experiment speedup           # native engine: real multi-core scaling
-//	icpp98bench -experiment serve             # serving tier under load: jobs/sec, cache, p50/p99
 //	icpp98bench -experiment all               # everything
 //
-// -checkserve <path> validates an existing BENCH_serve.json instead of
-// running anything: the file must parse, carry the serve SLO summary
-// (jobs/sec, cache hit rate, latency percentiles, per-stage span
-// percentiles), and record no gate failures. CI uses it to keep the
-// committed baseline well-formed.
+// Serving latency and multi-core search are not measured here: the
+// repository benchmark in perfbench/ (see perfbench/README.md) drives the
+// daemon and the native engine end to end.
 //
 // -checkmetrics <url|path> lints a Prometheus text exposition — a live
 // daemon's /metrics scraped over HTTP, or a saved page — against the
@@ -35,10 +30,9 @@
 // directory; with a directory (existing, or any path ending in a path
 // separator), tables go to <dir>/BENCH_<experiment>.md (or .csv) and JSON to
 // <dir>/BENCH_<experiment>.json; with os.DevNull everything is discarded.
-// The speedup experiment doubles as a determinism gate: if any native-engine
-// cell disagrees with serial A* on the optimum (or reports a BoundFactor
-// other than 1 for a proven cell), the process exits non-zero after writing
-// the reports.
+// The pruning experiment doubles as a gate: if its variants disagree on a
+// proven optimum or the prunings fail to fire, the process exits non-zero
+// after writing the reports.
 package main
 
 import (
@@ -58,10 +52,10 @@ import (
 
 func main() {
 	var (
-		experiment   = flag.String("experiment", "all", "table1 | fig6 | fig7 | ablation | pruning | distribution | deviation | engines | large | speedup | serve | all")
-		sizes        = flag.String("sizes", "", "comma-separated graph sizes (default 10,12,14,16; speedup: 80,128)")
+		experiment   = flag.String("experiment", "all", "table1 | fig6 | fig7 | ablation | pruning | distribution | deviation | engines | all")
+		sizes        = flag.String("sizes", "", "comma-separated graph sizes (default 10,12,14,16)")
 		ccrs         = flag.String("ccrs", "", "comma-separated CCRs (default 0.1,1,10)")
-		ppes         = flag.String("ppes", "", "comma-separated PPE/worker counts for fig6 and speedup (default 2,4,8,16; speedup: 1,2,4,8)")
+		ppes         = flag.String("ppes", "", "comma-separated PPE counts for fig6 (default 2,4,8,16)")
 		epsilons     = flag.String("epsilons", "", "comma-separated ε for fig7 (default 0.2,0.5)")
 		fig7ppes     = flag.Int("fig7ppes", 16, "PPE count for fig7 (paper: 16)")
 		seed         = flag.Uint64("seed", 1998, "workload seed")
@@ -73,23 +67,10 @@ func main() {
 		out          = flag.String("out", "", "output path: a file for the tables, or a directory for per-experiment files; controls where -json reports land (default: stdout + CWD)")
 		jsonOut      = flag.Bool("json", false, "also write a machine-readable BENCH_<experiment>.json per experiment (next to -out)")
 		procs        = flag.Int("procs", 0, "target PEs per instance (0 = v, the paper's setting)")
-		rate         = flag.Float64("rate", 0, "serve: offered load in requests/sec (0 = 25)")
-		duration     = flag.Duration("duration", 0, "serve: load-phase length (0 = 3s)")
-		corpus       = flag.Int("corpus", 0, "serve: distinct instances in the mixed corpus (0 = 5)")
-		servev       = flag.Int("servev", 0, "serve: nodes per corpus instance (0 = 20)")
-		checkServe   = flag.String("checkserve", "", "validate an existing BENCH_serve.json (parses, SLO fields present, no failures) and exit")
 		checkMetrics = flag.String("checkmetrics", "", "lint a Prometheus text exposition (a http(s):// URL to scrape, or a file path) and exit")
-		queueSLO     = flag.Duration("queue-slo", 0, "serve: fail the run when queue-wait p99 exceeds this (0 = no gate)")
 	)
 	flag.Parse()
 
-	if *checkServe != "" {
-		if err := bench.CheckServeReport(*checkServe); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "%s: ok\n", *checkServe)
-		return
-	}
 	if *checkMetrics != "" {
 		page, err := readMetricsPage(*checkMetrics)
 		if err != nil {
@@ -106,16 +87,11 @@ func main() {
 	}
 
 	cfg := bench.Config{
-		Seed:          *seed,
-		CellBudget:    *budget,
-		CellTimeout:   *timeout,
-		Fig7PPEs:      *fig7ppes,
-		PeriodFloor:   *floor,
-		ServeRate:     *rate,
-		ServeDuration: *duration,
-		ServeCorpus:   *corpus,
-		ServeV:        *servev,
-		ServeQueueSLO: *queueSLO,
+		Seed:        *seed,
+		CellBudget:  *budget,
+		CellTimeout: *timeout,
+		Fig7PPEs:    *fig7ppes,
+		PeriodFloor: *floor,
 	}
 	if *full {
 		cfg.Sizes = bench.Full().Sizes
@@ -165,12 +141,6 @@ func main() {
 			res = bench.RunDeviation(cfg)
 		case "engines":
 			res = bench.RunEngines(cfg)
-		case "large":
-			res = bench.RunLarge(cfg)
-		case "speedup":
-			res = bench.RunSpeedup(cfg)
-		case "serve":
-			res = bench.RunServe(cfg)
 		default:
 			fatal(fmt.Errorf("unknown experiment %q", name))
 		}
@@ -200,8 +170,8 @@ func main() {
 				fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 			}
 		}
-		// Experiments with a built-in correctness gate (speedup's native-vs-
-		// serial determinism check) fail the whole process after reporting.
+		// Experiments with a built-in correctness gate (pruning's optimum
+		// and counter checks) fail the whole process after reporting.
 		if g, ok := res.(interface{ FailureList() []string }); ok {
 			gateFailures = append(gateFailures, g.FailureList()...)
 		}
@@ -209,7 +179,7 @@ func main() {
 	}
 
 	if *experiment == "all" {
-		for _, name := range []string{"table1", "fig6", "fig7", "ablation", "pruning", "distribution", "deviation", "engines", "large", "speedup", "serve"} {
+		for _, name := range []string{"table1", "fig6", "fig7", "ablation", "pruning", "distribution", "deviation", "engines"} {
 			run(name)
 		}
 	} else {

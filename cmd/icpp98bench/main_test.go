@@ -53,7 +53,7 @@ func TestOutputPlanDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	w, closeTable, err := p.tableWriter("speedup")
+	w, closeTable, err := p.tableWriter("fig6")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,12 +63,12 @@ func TestOutputPlanDirectory(t *testing.T) {
 	if err := closeTable(); err != nil {
 		t.Fatal(err)
 	}
-	want := filepath.Join(filepath.Clean(dir), "BENCH_speedup.csv")
+	want := filepath.Join(filepath.Clean(dir), "BENCH_fig6.csv")
 	if _, err := os.Stat(want); err != nil {
 		t.Errorf("table file not created at %s: %v", want, err)
 	}
-	path, ok := p.jsonPath("speedup")
-	if !ok || path != filepath.Join(filepath.Clean(dir), "BENCH_speedup.json") {
+	path, ok := p.jsonPath("fig6")
+	if !ok || path != filepath.Join(filepath.Clean(dir), "BENCH_fig6.json") {
 		t.Errorf("jsonPath = %q, %v", path, ok)
 	}
 }
@@ -86,7 +86,7 @@ func TestOutputPlanFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2, close2, err := p.tableWriter("large")
+	w2, close2, err := p.tableWriter("pruning")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestOutputPlanFile(t *testing.T) {
 	if err := close2(); err != nil {
 		t.Fatal(err)
 	}
-	if path, ok := p.jsonPath("large"); !ok || path != filepath.Join(dir, "BENCH_large.json") {
+	if path, ok := p.jsonPath("pruning"); !ok || path != filepath.Join(dir, "BENCH_pruning.json") {
 		t.Errorf("jsonPath = %q, %v; want next to -out", path, ok)
 	}
 	if err := p.Close(); err != nil {

@@ -3,7 +3,10 @@
 // with and without pruning), Figure 6 (parallel A* speedups on 2–16 PPEs),
 // and Figure 7 (parallel Aε* deviation-from-optimal and time ratios), plus
 // ablation sweeps over the individual pruning techniques, the heuristic
-// function, and the parallel distribution policy.
+// function, and the parallel distribution policy, a list-heuristic
+// deviation study, and a cross-engine comparison. Serving latency and
+// multi-core scaling are not paper figures; the repository benchmark in
+// perfbench/ measures them.
 //
 // Workloads follow §4.1: random graphs with CCR ∈ {0.1, 1.0, 10.0}, sizes
 // 10..32 step 2, node costs uniform with mean 40, out-degrees uniform with
@@ -55,20 +58,6 @@ type Config struct {
 	// PeriodFloor is the parallel engine's minimum communication period
 	// (0 = the paper's 2).
 	PeriodFloor int
-	// ServeRate is the serve experiment's offered load in requests/sec
-	// (0 = 25).
-	ServeRate float64
-	// ServeDuration is how long the serve load phase runs (0 = 3s); the
-	// request count is rate × duration, floored at two corpus passes.
-	ServeDuration time.Duration
-	// ServeCorpus is the serve experiment's distinct-instance count (0 = 5).
-	ServeCorpus int
-	// ServeV sizes the serve corpus instances (0 = 20 nodes).
-	ServeV int
-	// ServeQueueSLO gates the serve experiment on queue-wait p99 (from the
-	// jobs' trace spans): a run whose p99 queue wait exceeds it fails.
-	// 0 disables the gate.
-	ServeQueueSLO time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -92,18 +81,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Fig7PPEs == 0 {
 		c.Fig7PPEs = 16
-	}
-	if c.ServeRate == 0 {
-		c.ServeRate = 25
-	}
-	if c.ServeDuration == 0 {
-		c.ServeDuration = 3 * time.Second
-	}
-	if c.ServeCorpus == 0 {
-		c.ServeCorpus = 5
-	}
-	if c.ServeV == 0 {
-		c.ServeV = 20
 	}
 	return c
 }

@@ -206,36 +206,3 @@ func TestFmtDuration(t *testing.T) {
 		}
 	}
 }
-
-func TestRunLarge(t *testing.T) {
-	res := RunLarge(fastCfg())
-	if len(res.Rows) != 2*len(largeSizes) {
-		t.Fatalf("got %d rows, want %d (aeps + portfolio per size)", len(res.Rows), 2*len(largeSizes))
-	}
-	for _, row := range res.Rows {
-		if row.V <= 64 {
-			t.Errorf("large experiment ran a v=%d cell; every size must exceed the old 64-task mask", row.V)
-		}
-		if row.Length <= 0 {
-			t.Errorf("v=%d %s: no schedule length recorded", row.V, row.Mode)
-		}
-		// Guarantee bookkeeping must be coherent in every cell: a proven
-		// optimum reports bound exactly 1 (a budget-cut aeps cell may
-		// legitimately report no guarantee), and the portfolio — which
-		// races exact entrants whose HPlus static bound closes this
-		// workload in a dive — must prove optimality outright.
-		if row.Optimal && row.Bound != 1 {
-			t.Errorf("v=%d %s: optimal with bound %g, want exactly 1", row.V, row.Mode, row.Bound)
-		}
-		if strings.HasPrefix(row.Mode, "portfolio:") && !row.Optimal {
-			t.Errorf("v=%d %s: portfolio (with exact entrants) did not prove optimality", row.V, row.Mode)
-		}
-	}
-	var md bytes.Buffer
-	if err := res.Write(&md, "md"); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(md.String(), "Large instances") {
-		t.Errorf("markdown output malformed:\n%s", md.String())
-	}
-}

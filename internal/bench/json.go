@@ -2,10 +2,7 @@ package bench
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"os"
-	"runtime"
 	"time"
 )
 
@@ -15,8 +12,8 @@ import (
 // tooling instead of read off markdown tables.
 
 // Result is the surface every experiment result shares: render as
-// tables, and write in a human format. The seven Run* constructors all
-// return one.
+// tables, and write in a human format. Every Run* constructor returns
+// one.
 type Result interface {
 	Tables() []*table
 	Write(w io.Writer, format string) error
@@ -37,25 +34,6 @@ type EngineRecord struct {
 	Optimal        bool    `json:"optimal"`
 }
 
-// SpeedupRecord is one machine-readable measurement of the speedup
-// experiment: the native engine at one worker count on one instance, with
-// its self-relative ratios. Wall-clock numbers are only comparable within
-// one host — the Host block records which.
-type SpeedupRecord struct {
-	V              int     `json:"v"`
-	Workers        int     `json:"workers"`
-	Mode           string  `json:"mode"` // "dive" (proof) | "budget" (fixed work)
-	WallMS         float64 `json:"wall_ms"`
-	Expanded       int64   `json:"expanded"`
-	ExpandedPerSec float64 `json:"expanded_per_sec"`
-	Makespan       int32   `json:"makespan"`
-	Optimal        bool    `json:"optimal"`
-	BoundFactor    float64 `json:"bound_factor"`
-	WallSpeedup    float64 `json:"wall_speedup"`
-	RateSpeedup    float64 `json:"rate_speedup"`
-	ModeledSpeedup float64 `json:"modeled_speedup,omitempty"`
-}
-
 // PruningRecord is one machine-readable measurement of the pruning
 // ablation: a variant on a corpus cell, with the pruning counters and the
 // expansion ratio against that cell's baseline variant.
@@ -74,14 +52,6 @@ type PruningRecord struct {
 	ExpandedPerSec float64 `json:"expanded_per_sec,omitempty"`
 }
 
-// HostInfo pins wall-clock measurements to the machine that produced them.
-type HostInfo struct {
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	NumCPU     int    `json:"num_cpu"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-}
-
 // TableJSON is the generic export of one rendered table.
 type TableJSON struct {
 	Title  string     `json:"title"`
@@ -96,11 +66,8 @@ type JSONReport struct {
 	// GeneratedAt is RFC 3339 UTC, so consecutive reports sort by name
 	// and diff by time.
 	GeneratedAt string          `json:"generated_at"`
-	Host        *HostInfo       `json:"host,omitempty"`
 	Engines     []EngineRecord  `json:"engines,omitempty"`
-	Speedup     []SpeedupRecord `json:"speedup,omitempty"`
 	Pruning     []PruningRecord `json:"pruning,omitempty"`
-	Serve       *ServeSummary   `json:"serve,omitempty"`
 	Failures    []string        `json:"failures,omitempty"`
 	Tables      []TableJSON     `json:"tables"`
 }
@@ -119,31 +86,6 @@ func (r *EnginesResult) Records() []EngineRecord {
 			Expanded: row.Expanded,
 			Makespan: row.Length,
 			Optimal:  row.Optimal,
-		}
-		if row.Time > 0 {
-			rec.ExpandedPerSec = float64(row.Expanded) / row.Time.Seconds()
-		}
-		out = append(out, rec)
-	}
-	return out
-}
-
-// Records derives the per-cell measurements of the speedup experiment.
-func (r *SpeedupResult) Records() []SpeedupRecord {
-	out := make([]SpeedupRecord, 0, len(r.Rows))
-	for _, row := range r.Rows {
-		rec := SpeedupRecord{
-			V:              row.V,
-			Workers:        row.Workers,
-			Mode:           row.Mode,
-			WallMS:         float64(row.Time.Microseconds()) / 1000,
-			Expanded:       row.Expanded,
-			Makespan:       row.Length,
-			Optimal:        row.Optimal,
-			BoundFactor:    row.Bound,
-			WallSpeedup:    row.WallSpeedup,
-			RateSpeedup:    row.RateSpeedup,
-			ModeledSpeedup: row.Modeled,
 		}
 		if row.Time > 0 {
 			rec.ExpandedPerSec = float64(row.Expanded) / row.Time.Seconds()
@@ -188,48 +130,6 @@ func (r *PruningResult) Records() []PruningRecord {
 	return out
 }
 
-// CheckServeReport validates a BENCH_serve.json on disk: it must parse as
-// a JSONReport of the serve experiment, carry the SLO summary fields the
-// dashboard consumes (requests served, jobs/sec, latency percentiles), and
-// record no gate failures. This is the CI-side half of the serve gate: the
-// experiment exits non-zero when a gate trips, and this keeps the committed
-// baseline itself from rotting into an unparseable or failure-carrying file.
-func CheckServeReport(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var rep JSONReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if rep.Experiment != "serve" {
-		return fmt.Errorf("%s: experiment is %q, want \"serve\"", path, rep.Experiment)
-	}
-	if rep.Serve == nil {
-		return fmt.Errorf("%s: missing serve summary", path)
-	}
-	if len(rep.Failures) > 0 {
-		return fmt.Errorf("%s: report carries %d gate failures (first: %s)", path, len(rep.Failures), rep.Failures[0])
-	}
-	s := rep.Serve
-	switch {
-	case s.Requests <= 0:
-		return fmt.Errorf("%s: serve summary reports %d requests", path, s.Requests)
-	case s.JobsPerSec <= 0:
-		return fmt.Errorf("%s: serve summary reports %.2f jobs/sec", path, s.JobsPerSec)
-	case s.P50MS <= 0 || s.P99MS <= 0:
-		return fmt.Errorf("%s: serve summary is missing latency percentiles (p50=%.3fms p99=%.3fms)", path, s.P50MS, s.P99MS)
-	case s.HitRate <= 0 || s.HitRate > 1:
-		return fmt.Errorf("%s: cache hit rate %.3f outside (0, 1]", path, s.HitRate)
-	case s.SolveP50MS <= 0:
-		return fmt.Errorf("%s: serve summary is missing per-stage span percentiles (solve p50=%.3fms)", path, s.SolveP50MS)
-	case s.QueueP99MS < s.QueueP50MS:
-		return fmt.Errorf("%s: queue p99 %.3fms below p50 %.3fms", path, s.QueueP99MS, s.QueueP50MS)
-	}
-	return nil
-}
-
 // WriteJSON writes the machine-readable report of one experiment run.
 func WriteJSON(w io.Writer, name string, r Result) error {
 	rep := JSONReport{
@@ -239,29 +139,9 @@ func WriteJSON(w io.Writer, name string, r Result) error {
 	if er, ok := r.(*EnginesResult); ok {
 		rep.Engines = er.Records()
 	}
-	if sr, ok := r.(*SpeedupResult); ok {
-		rep.Speedup = sr.Records()
-		rep.Failures = sr.Failures
-		rep.Host = &HostInfo{
-			GOOS:       runtime.GOOS,
-			GOARCH:     runtime.GOARCH,
-			NumCPU:     runtime.NumCPU(),
-			GoMaxProcs: runtime.GOMAXPROCS(0),
-		}
-	}
 	if pr, ok := r.(*PruningResult); ok {
 		rep.Pruning = pr.Records()
 		rep.Failures = pr.Failures
-	}
-	if sv, ok := r.(*ServeResult); ok {
-		rep.Serve = &sv.Summary
-		rep.Failures = sv.Failures
-		rep.Host = &HostInfo{
-			GOOS:       runtime.GOOS,
-			GOARCH:     runtime.GOARCH,
-			NumCPU:     runtime.NumCPU(),
-			GoMaxProcs: runtime.GOMAXPROCS(0),
-		}
 	}
 	for _, t := range r.Tables() {
 		rep.Tables = append(rep.Tables, TableJSON{

@@ -1,6 +1,7 @@
 package native
 
 import (
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -11,10 +12,11 @@ import (
 	"repro/internal/procgraph"
 )
 
-// solveSerial is the serial A* reference for one instance.
-func solveSerial(t *testing.T, m *core.Model) *core.Result {
+// solveSerial is the serial A* reference for one instance under
+// heuristic h.
+func solveSerial(t *testing.T, m *core.Model, h core.HFunc) *core.Result {
 	t.Helper()
-	ref, err := core.SolveModel(m, core.Options{})
+	ref, err := core.SolveModel(m, core.Options{HFunc: h})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,32 +36,54 @@ func TestNativeMatchesSerial(t *testing.T) {
 	// magnitude seed to seed at equal v.
 	for _, cell := range [][2]int{{6, 1}, {6, 2}, {9, 1}, {9, 2}, {12, 5}} {
 		v, seed := cell[0], uint64(cell[1])
-		{
-			g := gen.MustRandom(gen.RandomConfig{V: v, CCR: 1.0, Seed: seed})
-			for _, sys := range systems {
-				m, err := core.NewModel(g, sys)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref := solveSerial(t, m)
-				for _, workers := range []int{1, 2, 4, 7} {
-					res, err := Solve(m, Options{Workers: workers})
-					if err != nil {
-						t.Fatalf("v=%d seed=%d %s w=%d: %v", v, seed, sys.Name(), workers, err)
-					}
-					if !res.Optimal || res.BoundFactor != 1 {
-						t.Fatalf("v=%d seed=%d %s w=%d: optimal=%v bound=%g, want a proven optimum",
-							v, seed, sys.Name(), workers, res.Optimal, res.BoundFactor)
-					}
-					if res.Length != ref.Length {
-						t.Fatalf("v=%d seed=%d %s w=%d: length %d, serial optimum %d",
-							v, seed, sys.Name(), workers, res.Length, ref.Length)
-					}
-					if err := res.Schedule.Validate(); err != nil {
-						t.Fatalf("v=%d seed=%d %s w=%d: invalid schedule: %v", v, seed, sys.Name(), workers, err)
-					}
-				}
+		g := gen.MustRandom(gen.RandomConfig{V: v, CCR: 1.0, Seed: seed})
+		for _, sys := range systems {
+			m, err := core.NewModel(g, sys)
+			if err != nil {
+				t.Fatal(err)
 			}
+			label := fmt.Sprintf("v=%d seed=%d %s", v, seed, sys.Name())
+			matchSerial(t, label, m, core.HPaper, []int{1, 2, 4, 7})
+		}
+	}
+
+	// A layered STG past the 64-task single-word mask (v = 80), which the
+	// HPlus static bound proves in a dive: the wide-mask paths of the
+	// parallel search must agree with serial A* too.
+	g, err := gen.LayeredSTG(gen.LayeredConfig{Layers: 20, Width: 4, Seed: 1998})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumNodes() != 80 {
+		t.Fatalf("layered instance has %d nodes, want 80", g.NumNodes())
+	}
+	m, err := core.NewModel(g, procgraph.Complete(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	matchSerial(t, "layered v=80 complete:8", m, core.HPlus, []int{1, 2, 4})
+}
+
+// matchSerial solves m serially and with the native engine at each worker
+// count under heuristic h, and fails unless every native run proves the
+// serial optimum with a valid schedule.
+func matchSerial(t *testing.T, label string, m *core.Model, h core.HFunc, workers []int) {
+	t.Helper()
+	ref := solveSerial(t, m, h)
+	for _, w := range workers {
+		res, err := Solve(m, Options{Workers: w, HFunc: h})
+		if err != nil {
+			t.Fatalf("%s w=%d: %v", label, w, err)
+		}
+		if !res.Optimal || res.BoundFactor != 1 {
+			t.Fatalf("%s w=%d: optimal=%v bound=%g, want a proven optimum",
+				label, w, res.Optimal, res.BoundFactor)
+		}
+		if res.Length != ref.Length {
+			t.Fatalf("%s w=%d: length %d, serial optimum %d", label, w, res.Length, ref.Length)
+		}
+		if err := res.Schedule.Validate(); err != nil {
+			t.Fatalf("%s w=%d: invalid schedule: %v", label, w, err)
 		}
 	}
 }
@@ -74,7 +98,7 @@ func TestNativeEpsilonBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := solveSerial(t, m)
+		ref := solveSerial(t, m, core.HPaper)
 		res, err := Solve(m, Options{Workers: 4, Epsilon: 0.2})
 		if err != nil {
 			t.Fatal(err)

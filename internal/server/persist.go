@@ -39,6 +39,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
@@ -352,13 +353,15 @@ func idSeq(id string) int64 {
 type fileStore struct {
 	*memStore
 	dir        string
+	log        *slog.Logger // store I/O failures, each tagged with an op
 	wal        *os.File
 	walRecords int
 	// leases is the live cluster lease table (see lease.go), journaled
 	// through the same WAL and guarded by the same store mutex.
 	leases map[string]LeaseRecord
 	// adoptable are the leases that survived the last recovery, frozen at
-	// open time for the coordinator's adoption window.
+	// open time: the coordinator reads them once at start and holds each
+	// until a report carrying its token adopts it or the lease TTL lapses.
 	adoptable []LeaseRecord
 	// resumed are the non-terminal jobs recovered live because a lease
 	// record vouched for them; Server.ResumeRecovered re-dispatches them.
@@ -368,12 +371,13 @@ type fileStore struct {
 // openFileStore opens (or creates) the store directory, recovers the
 // retained jobs, rewrites a fresh snapshot reflecting the recovered state
 // (so interruption rewrites are durable and the next start replays
-// nothing), and arms the WAL sink.
-func openFileStore(dir string, cap int, ttl time.Duration) (*fileStore, error) {
+// nothing), and arms the WAL sink. log receives the store's I/O failures,
+// which are reported rather than returned once the store is open.
+func openFileStore(dir string, cap int, ttl time.Duration, log *slog.Logger) (*fileStore, error) {
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, err
 	}
-	fs := &fileStore{memStore: newStore(cap, ttl), dir: dir, leases: map[string]LeaseRecord{}}
+	fs := &fileStore{memStore: newStore(cap, ttl), dir: dir, log: log, leases: map[string]LeaseRecord{}}
 	recs, leases, seq, err := loadRecords(dir)
 	if err != nil {
 		return nil, err
@@ -385,7 +389,8 @@ func openFileStore(dir string, cap int, ttl time.Duration) (*fileStore, error) {
 		if err != nil {
 			// A record whose instance no longer parses is unrecoverable;
 			// drop it rather than refuse every other job.
-			fmt.Fprintln(os.Stderr, "icpp98d:", err)
+			fs.log.Error("job store: dropping unrecoverable record",
+				"op", "recover", "job", rec.ID, "trace_id", rec.TraceID, "error", err)
 			delete(leases, rec.ID)
 			continue
 		}
@@ -450,22 +455,32 @@ func (fs *fileStore) appendLocked(op storeOp, j *job) {
 func (fs *fileStore) writeRecordLocked(rec jobRecord, sync bool) {
 	line, err := json.Marshal(rec)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "icpp98d: persisting job record:", err)
+		fs.logRecordError("encode", rec, err)
 		return
 	}
 	if _, err := fs.wal.Write(append(line, '\n')); err != nil {
-		fmt.Fprintln(os.Stderr, "icpp98d: appending to WAL:", err)
+		fs.logRecordError("append", rec, err)
 		return
 	}
 	fs.walRecords++
 	if sync {
-		fs.wal.Sync()
+		if err := fs.wal.Sync(); err != nil {
+			fs.logRecordError("sync", rec, err)
+		}
 	}
 	if fs.walRecords >= compactEvery {
 		if err := fs.compactLocked(); err != nil {
-			fmt.Fprintln(os.Stderr, "icpp98d: compacting job store:", err)
+			fs.log.Error("job store: compaction failed", "op", "compact", "error", err)
 		}
 	}
+}
+
+// logRecordError reports a record the WAL did not durably take. The
+// in-memory store stays authoritative for the live process; what is lost
+// is the record's survival of a restart.
+func (fs *fileStore) logRecordError(op string, rec jobRecord, err error) {
+	fs.log.Error("job store: record not persisted",
+		"op", op, "job", rec.ID, "trace_id", rec.TraceID, "error", err)
 }
 
 // compactLocked writes a snapshot of the live table (temp file + fsync +

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -236,6 +237,46 @@ func TestLoadRecordsMergeAndTornTail(t *testing.T) {
 	}
 	if lr.Token != "t5" || lr.WorkerID != "w2" || lr.Attempt != 2 {
 		t.Fatalf("job-5 lease = %+v; the latest grant must win the replay", lr)
+	}
+}
+
+// TestUnrecoverableRecordLogged: a persisted job whose instance no longer
+// parses is dropped at open, and the drop is reported through the
+// configured logger as one error record tagged op=recover — not written
+// to stderr behind the daemon's structured log.
+func TestUnrecoverableRecordLogged(t *testing.T) {
+	dir := t.TempDir()
+	snap := `{"schema":1,"seq":7,"jobs":[{"id":"job-7","state":"done","created":"1970-01-01T00:00:10Z","graph":{"nodes":"bogus"},"trace_id":"t7"}]}`
+	if err := os.WriteFile(filepath.Join(dir, snapshotName), []byte(snap), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	var logs bytes.Buffer
+	srv, err := Open(Config{StoreDir: dir, Logger: slog.New(slog.NewJSONHandler(&logs, nil))})
+	if err != nil {
+		t.Fatalf("open refused the whole store over one bad record: %v", err)
+	}
+	defer srv.Close()
+	if srv.store.get("job-7") != nil {
+		t.Fatal("unrecoverable job-7 was admitted")
+	}
+	var records []map[string]any
+	dec := json.NewDecoder(&logs)
+	for dec.More() {
+		var rec map[string]any
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatal(err)
+		}
+		records = append(records, rec)
+	}
+	if len(records) != 1 {
+		t.Fatalf("got %d log records, want 1: %v", len(records), records)
+	}
+	rec := records[0]
+	if rec["level"] != "ERROR" || rec["op"] != "recover" || rec["job"] != "job-7" || rec["trace_id"] != "t7" {
+		t.Errorf("drop record = %v, want level ERROR, op recover, job job-7, trace_id t7", rec)
+	}
+	if msg, _ := rec["error"].(string); !strings.Contains(msg, "recovering graph") {
+		t.Errorf("drop record error = %q, want the graph decode failure", msg)
 	}
 }
 

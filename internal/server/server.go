@@ -214,9 +214,12 @@ func Open(cfg Config) (*Server, error) {
 	if cfg.CacheBytes == 0 {
 		cfg.CacheBytes = 64 << 20
 	}
+	if cfg.Logger == nil {
+		cfg.Logger = slog.New(slog.DiscardHandler)
+	}
 	var store JobStore
 	if cfg.StoreDir != "" {
-		fs, err := openFileStore(cfg.StoreDir, cfg.StoreCap, cfg.TTL)
+		fs, err := openFileStore(cfg.StoreDir, cfg.StoreCap, cfg.TTL, cfg.Logger)
 		if err != nil {
 			return nil, fmt.Errorf("server: opening job store in %s: %w", cfg.StoreDir, err)
 		}
@@ -226,9 +229,6 @@ func Open(cfg Config) (*Server, error) {
 	}
 	if cfg.SampleInterval <= 0 {
 		cfg.SampleInterval = obs.DefaultSampleInterval
-	}
-	if cfg.Logger == nil {
-		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
 	pool := solverpool.New(cfg.Workers)
 	s := &Server{
@@ -305,7 +305,7 @@ func (s *Server) ResumeRecovered() int {
 			}
 			s.log.Warn("recovered job not resumable",
 				"job", j.id, "trace_id", traceID, "state", j.state, "cluster", s.dispatcher != nil)
-			s.store.finish(j, nil, fmt.Sprintf("interrupted: daemon restarted while the job was %s", j.state))
+			s.store.finish(j, nil, fmt.Sprintf("interrupted: daemon restarted while the job was %s", j.state), nil)
 			continue
 		}
 		if j.trace == nil {
@@ -321,7 +321,7 @@ func (s *Server) ResumeRecovered() int {
 		if s.baseCtx.Err() != nil {
 			s.closeMu.Unlock()
 			cancel()
-			s.store.finish(j, nil, fmt.Sprintf("interrupted: daemon restarted while the job was %s", j.state))
+			s.store.finish(j, nil, fmt.Sprintf("interrupted: daemon restarted while the job was %s", j.state), nil)
 			continue
 		}
 		s.wg.Add(1)
@@ -549,23 +549,32 @@ func (s *Server) finishJob(ctx context.Context, j *job, res *JobResult, errMessa
 		s.store.noteInterrupted(j)
 	}
 	persistStart := time.Now()
-	final := s.store.finish(j, res, errMessage)
+	// The cache payload is the wire result a done job serves, ID cleared;
+	// it is encoded here, outside the store mutex, and only stored if the
+	// job really ends done. A result that fails to encode is not cached.
+	var payload []byte
+	if errMessage == "" && res != nil && s.cache != nil && j.cacheOK {
+		cp := *res
+		cp.ID = ""
+		cp.State = StateDone
+		payload, _ = json.Marshal(cp)
+	}
+	// The cache refill and the persist span (which covers the terminal
+	// store write — the WAL append, when the store is file-backed — and
+	// the refill) land inside finish, before the terminal state is
+	// published: a reader that sees the job done finds both.
+	final := s.store.finish(j, res, errMessage, func(final string) {
+		if final == StateDone && payload != nil {
+			s.cache.Put(j.cacheKey, payload)
+		}
+		if j.trace != nil {
+			j.trace.RecordTimed("persist", obs.OriginDaemon, persistStart, time.Now(), "state", final)
+		}
+	})
 	if final == "" {
 		return // a racing finisher already recorded the outcome
 	}
 	s.metrics.recordFinish(final, j)
-	if final == StateDone && res != nil && s.cache != nil && j.cacheOK {
-		cp := *res
-		cp.ID = ""
-		if data, err := json.Marshal(cp); err == nil {
-			s.cache.Put(j.cacheKey, data)
-		}
-	}
-	// The persist span covers the terminal store write (the WAL append,
-	// when the store is file-backed) and the cache refill.
-	if j.trace != nil {
-		j.trace.RecordTimed("persist", obs.OriginDaemon, persistStart, time.Now(), "state", final)
-	}
 	// Quiesce the sampler before the closing log reads the ring, so a job
 	// faster than one sample interval still reports its final counters.
 	if stop := j.stopSampler.Load(); stop != nil {

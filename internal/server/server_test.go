@@ -1134,3 +1134,65 @@ func TestTraceCacheHitVsMiss(t *testing.T) {
 }
 
 func attrOf(sp obs.Span, key string) string { return sp.Attrs[key] }
+
+// holdingStore wraps a JobStore and parks finish after the inner call
+// returns, so a test can look at a job in the window between its terminal
+// state becoming readable and finishJob returning.
+type holdingStore struct {
+	JobStore
+	finished chan string // receives the first terminal state
+	release  chan struct{}
+}
+
+func (h *holdingStore) finish(j *job, res *JobResult, errMessage string, settle func(final string)) string {
+	final := h.JobStore.finish(j, res, errMessage, settle)
+	select {
+	case h.finished <- final:
+	default:
+	}
+	<-h.release
+	return final
+}
+
+// TestFinishedJobSettledBeforeDone pins the publication order of a
+// finished job: once it reads done, its trace carries the persist span
+// and an identical resubmission hits the schedule cache — even while the
+// finishing goroutine has not yet returned from the store.
+func TestFinishedJobSettledBeforeDone(t *testing.T) {
+	srv := New(Config{Workers: 2})
+	hold := &holdingStore{JobStore: srv.store, finished: make(chan string, 1), release: make(chan struct{})}
+	srv.store = hold
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+	defer close(hold.release)
+
+	req := SubmitRequest{GraphText: paperText(t), System: json.RawMessage(`"ring:3"`), Engine: "astar"}
+	cold := postJob(t, ts.URL, req).ID
+	select {
+	case final := <-hold.finished:
+		if final != StateDone {
+			t.Fatalf("cold job finished %s, want done", final)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("cold job never finished")
+	}
+
+	// The cold job's finishJob is parked after the store's finish.
+	if st := getStatus(t, ts.URL, cold); st.State != StateDone {
+		t.Fatalf("cold job reads %s, want done", st.State)
+	}
+	var persisted bool
+	for _, sp := range getTrace(t, ts.URL, cold).Spans {
+		persisted = persisted || sp.Name == "persist"
+	}
+	if !persisted {
+		t.Error("job reads done but its trace has no persist span")
+	}
+	warm := postJob(t, ts.URL, req).ID
+	if st := waitTerminal(t, ts.URL, warm); st.State != StateDone || st.Cache != "hit" {
+		t.Errorf("repeat of a done job: state=%s cache=%q, want done/hit", st.State, st.Cache)
+	}
+}

@@ -101,8 +101,11 @@ type JobStore interface {
 	// markRunning transitions queued → running (idempotently).
 	markRunning(j *job) bool
 	// finish moves a job to its terminal state and returns that state, or
-	// "" when the job was already terminal.
-	finish(j *job, result *JobResult, errMessage string) string
+	// "" when the job was already terminal. settle, when non-nil, runs
+	// with the terminal state once it is decided and persisted, before
+	// any reader can observe it; it runs under the store mutex, so it
+	// must neither block nor call back into the store.
+	finish(j *job, result *JobResult, errMessage string, settle func(final string)) string
 	// noteInterrupted flags the job as cancelled without firing its context.
 	noteInterrupted(j *job)
 	// requestCancel flags the job as cancelled and fires its context.
@@ -332,8 +335,11 @@ func (st *memStore) markRunning(j *job) bool {
 // The terminal state is derived from how the solve ended: an explicit
 // error is a failure; a cancellation request wins over the result an
 // interrupted engine still returned (the result is kept — a cancelled
-// search hands back its best incumbent).
-func (st *memStore) finish(j *job, result *JobResult, errMessage string) string {
+// search hands back its best incumbent). settle runs under the store
+// mutex after the terminal record is persisted and before the waiters
+// wake, so whatever it records (the cache entry, the persist span) is in
+// place for every reader that sees the terminal state.
+func (st *memStore) finish(j *job, result *JobResult, errMessage string, settle func(final string)) string {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if terminal(j.state) {
@@ -354,6 +360,9 @@ func (st *memStore) finish(j *job, result *JobResult, errMessage string) string 
 		j.result.State = j.state
 	}
 	st.persistLocked(opPut, j)
+	if settle != nil {
+		settle(j.state)
+	}
 	close(j.done)
 	return j.state
 }

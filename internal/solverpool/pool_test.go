@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/procgraph"
@@ -125,6 +126,23 @@ func TestSolvePortfolio(t *testing.T) {
 	}
 	if st := p.Stats(); st.ModelsBuilt != 1 {
 		t.Errorf("portfolio built %d models; entrants must share one", st.ModelsBuilt)
+	}
+
+	// Past the 64-task single-word mask: a v = 80 layered STG on eight
+	// processors, where the HPlus static bound lets the exact entrants
+	// close the search in a dive. The race must end in a proof.
+	wide, err := gen.LayeredSTG(gen.LayeredConfig{Layers: 20, Width: 4, Seed: 1998})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wpf, err := p.SolvePortfolio(context.Background(), wide, procgraph.Complete(8),
+		[]string{"astar", "aeps", "dfbb"}, engine.Config{HFunc: core.HPlus, MaxExpanded: 300_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !wpf.Result.Optimal || wpf.Result.BoundFactor != 1 {
+		t.Fatalf("v=80 portfolio (winner %s) did not prove the optimum: optimal=%v factor=%v",
+			wpf.Winner, wpf.Result.Optimal, wpf.Result.BoundFactor)
 	}
 }
 
